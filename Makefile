@@ -1,19 +1,26 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all check build test vet test-race race bench bench-short microbench fuzz fuzz-seeds triage-smoke chaos-short chaos cache-warm cmb-scaling study variability figures clean
+.PHONY: all check build bench-build test vet test-race race bench bench-short microbench fuzz fuzz-seeds triage-smoke chaos-short chaos cache-warm cmb-scaling study variability figures clean
 
 all: check
 
 # check is the default gate: build, vet, full test suite, the
-# race-detector pass over the concurrency-bearing packages, the fuzz
-# seed corpus, a short benchmark smoke run (proving the harness and
-# every scenario still execute; numbers are not recorded), the tiered
-# triage threshold sweep, and the bounded chaos soak.
-check: build vet test test-race fuzz-seeds bench-short triage-smoke chaos-short
+# benchmark module's build, the race-detector pass over the
+# concurrency-bearing packages, the fuzz seed corpus, a short benchmark
+# smoke run (proving the harness and every scenario still execute;
+# numbers are not recorded), the tiered triage threshold sweep, and the
+# bounded chaos soak.
+check: build vet test bench-build test-race fuzz-seeds bench-short triage-smoke chaos-short
 
 build:
 	$(GO) build ./...
+
+# bench-build vets and tests the campaign benchmark, a nested module
+# (campaignbench/) that imports internal/* and so is never compiled by
+# the root module's `go build ./...`.
+bench-build:
+	cd campaignbench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

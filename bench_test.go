@@ -173,10 +173,10 @@ func BenchmarkTableIVAndRates(b *testing.B) {
 
 // ---- Scheme-level costs (the substance behind Table II / Figure 1) ----
 
-func benchTrace(b *testing.B) (*trace.Trace, *machine.Config) {
+func benchTrace(b *testing.B) (*trace.Columns, *machine.Config) {
 	b.Helper()
 	p := workload.Params{App: "MiniFE", Class: "A", Ranks: 64, Machine: "hopper", Seed: 7}
-	tr, err := workload.Materialize(p)
+	tr, err := workload.MaterializeColumns(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func BenchmarkSchemeMFACT(b *testing.B) {
 	tr, mach := benchTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mfact.Model(tr, mach, nil); err != nil {
+		if _, err := mfact.ModelSource(tr, mach, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,7 +201,7 @@ func benchScheme(b *testing.B, m simnet.Model) {
 	tr, mach := benchTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mpisim.Replay(tr, m, mach, simnet.Config{}, mpisim.Options{}); err != nil {
+		if _, err := mpisim.ReplaySource(tr, m, mach, simnet.Config{}, mpisim.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func BenchmarkPacketFlowPacketSize(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKiB", kb), func(b *testing.B) {
 			var total string
 			for i := 0; i < b.N; i++ {
-				res, err := mpisim.Replay(tr, simnet.PacketFlow, mach,
+				res, err := mpisim.ReplaySource(tr, simnet.PacketFlow, mach,
 					simnet.Config{PacketBytes: kb << 10}, mpisim.Options{})
 				if err != nil {
 					b.Fatal(err)
@@ -240,7 +240,7 @@ func BenchmarkGroundTruth(b *testing.B) {
 	p := workload.Params{App: "LULESH", Class: "A", Ranks: 64, Machine: "edison", Seed: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.Materialize(p); err != nil {
+		if _, err := workload.MaterializeColumns(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func BenchmarkGroundTruth(b *testing.B) {
 // per placement.
 func BenchmarkPlacementAblation(b *testing.B) {
 	p := workload.Params{App: "FT", Class: "A", Ranks: 96, Machine: "hopper", Seed: 13}
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateColumns(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func BenchmarkPlacementAblation(b *testing.B) {
 			mach.Place(pl.pol)
 			var total string
 			for i := 0; i < b.N; i++ {
-				res, err := mpisim.Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
+				res, err := mpisim.ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

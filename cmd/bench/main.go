@@ -106,14 +106,10 @@ func scenarios() []scenario {
 		{"simnet/parallel-packet-lps4", benchParallelPacket},
 		{"mpisim/replay-packet", mkReplay(simnet.Packet)},
 		{"mpisim/replay-packetflow", mkReplay(simnet.PacketFlow)},
-		{"trace/replay-cursor", benchReplayCursor},
 		{"trace/codec-roundtrip", benchCodecRoundtrip},
-		{"trace/codec-roundtrip-v1", benchCodecRoundtripV1},
-		{"trace/codec-decode-v2", benchCodecDecodeV2},
 		{"trace/codec-open-v3", benchCodecOpenV3},
 		{"trace/materialize-full", benchMaterializeFull},
 		{"trace/materialize-vs-stream", benchStream},
-		{"campaign/materialized", benchCampaignMaterialized},
 		{"campaign/source-native", benchCampaignSource},
 		{"tracecache/acquire-cold", benchAcquireCold},
 		{"tracecache/acquire-warm", benchAcquireWarm},
@@ -262,16 +258,13 @@ func benchParallelPacket(short bool) uint64 {
 	return pp.Steps()
 }
 
-// replayTrace caches the materialized trace shared by the replay
-// scenarios (materialization itself is benchmarked elsewhere), plus
-// its columnar twin and encoded forms for the trace/* scenarios.
+// replayCols caches the materialized trace shared by the replay
+// scenarios (materialization itself is benchmarked elsewhere).
 var (
-	replayTr   *trace.Trace
 	replayCols *trace.Columns
 	replayMach *machine.Config
-	replayEnc  struct{ v1, v2 []byte }
-	// replayV3Path is the replay trace written in the zero-copy v3
-	// format to a temp file, the input for trace/codec-open-v3.
+	// replayV3Path is the replay trace written to a temp file, the
+	// input for trace/codec-open-v3.
 	replayV3Path string
 )
 
@@ -285,11 +278,11 @@ func replayParams(short bool) workload.Params {
 }
 
 func ensureReplay(short bool) {
-	if replayTr != nil {
+	if replayCols != nil {
 		return
 	}
 	p := replayParams(short)
-	tr, err := workload.Materialize(p)
+	cols, err := workload.MaterializeColumns(p)
 	if err != nil {
 		panic(err)
 	}
@@ -297,16 +290,7 @@ func ensureReplay(short bool) {
 	if err != nil {
 		panic(err)
 	}
-	replayTr, replayMach = tr, mach
-	replayCols = trace.FromTrace(tr)
-	var v1, v2 bytes.Buffer
-	if err := trace.Write(&v1, tr); err != nil {
-		panic(err)
-	}
-	if err := trace.WriteColumns(&v2, replayCols); err != nil {
-		panic(err)
-	}
-	replayEnc.v1, replayEnc.v2 = v1.Bytes(), v2.Bytes()
+	replayCols, replayMach = cols, mach
 
 	f, err := os.CreateTemp("", "bench-*.htrc3")
 	if err != nil {
@@ -324,7 +308,7 @@ func ensureReplay(short bool) {
 func mkReplay(m simnet.Model) func(bool) uint64 {
 	return func(short bool) uint64 {
 		ensureReplay(short)
-		res, err := mpisim.Replay(replayTr, m, replayMach, simnet.Config{}, mpisim.Options{})
+		res, err := mpisim.ReplaySource(replayCols, m, replayMach, simnet.Config{}, mpisim.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -332,43 +316,16 @@ func mkReplay(m simnet.Model) func(bool) uint64 {
 	}
 }
 
-// benchReplayCursor is mpisim/replay-packet over the columnar
-// representation: the same trace replayed through the zero-copy
-// Source/cursor path, so its per-event deltas against replay-packet
-// isolate the cost of the access path itself.
-func benchReplayCursor(short bool) uint64 {
-	ensureReplay(short)
-	res, err := mpisim.ReplaySource(replayCols, simnet.Packet, replayMach, simnet.Config{}, mpisim.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return res.Events
-}
-
-// benchCodecRoundtrip encodes and decodes the columnar binary format
-// (version 2); the v1 comparator below does the same through the
-// array-of-structs format. "Events" is trace events moved per op.
+// benchCodecRoundtrip encodes the replay trace and decodes it from a
+// stream with ReadColumns. "Events" is trace events moved per op.
 func benchCodecRoundtrip(short bool) uint64 {
 	ensureReplay(short)
 	var buf bytes.Buffer
-	buf.Grow(len(replayEnc.v2))
-	if err := trace.WriteColumns(&buf, replayCols); err != nil {
+	buf.Grow(int(trace.V3Size(replayCols)))
+	if err := trace.WriteColumnsV3(&buf, replayCols); err != nil {
 		panic(err)
 	}
 	c, err := trace.ReadColumns(&buf)
-	if err != nil {
-		panic(err)
-	}
-	return uint64(c.NumEvents())
-}
-
-// benchCodecDecodeV2 is the decode half alone — the cost a campaign
-// pays to open a stored v2 trace. Its v3 counterpart below opens the
-// same trace through the zero-copy mmap path; the pair is the headline
-// comparison for the v3 format (open cost per event ≈ 0).
-func benchCodecDecodeV2(short bool) uint64 {
-	ensureReplay(short)
-	c, err := trace.ReadColumns(bytes.NewReader(replayEnc.v2))
 	if err != nil {
 		panic(err)
 	}
@@ -391,20 +348,6 @@ func benchCodecOpenV3(short bool) uint64 {
 	return n
 }
 
-func benchCodecRoundtripV1(short bool) uint64 {
-	ensureReplay(short)
-	var buf bytes.Buffer
-	buf.Grow(len(replayEnc.v1))
-	if err := trace.Write(&buf, replayTr); err != nil {
-		panic(err)
-	}
-	t, err := trace.Read(&buf)
-	if err != nil {
-		panic(err)
-	}
-	return uint64(t.NumEvents())
-}
-
 // benchMaterializeFull generates the replay workload's full trace in
 // one resident build; benchStream regenerates it in 8-rank windows via
 // the streaming path. Streaming allocates MORE total bytes per event
@@ -413,11 +356,11 @@ func benchCodecRoundtripV1(short bool) uint64 {
 // The pair pins that regeneration overhead so it stays deliberate.
 func benchMaterializeFull(short bool) uint64 {
 	p := replayParams(short)
-	tr, err := workload.Generate(p)
+	c, err := workload.GenerateColumns(p)
 	if err != nil {
 		panic(err)
 	}
-	return uint64(tr.NumEvents())
+	return uint64(c.NumEvents())
 }
 
 func benchStream(short bool) uint64 {
@@ -482,32 +425,6 @@ func samplePeakHeap(stop chan struct{}, done chan struct{}) {
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
-}
-
-// benchCampaignMaterialized is the pre-registry campaign pipeline: each
-// trace is materialized as an array-of-structs trace, then every scheme
-// replays it (via the deprecated RunOnTrace path).
-func benchCampaignMaterialized(short bool) uint64 {
-	stop, done := make(chan struct{}), make(chan struct{})
-	go samplePeakHeap(stop, done)
-	defer func() { close(stop); <-done }()
-	var events uint64
-	for _, p := range campaignSuite(short) {
-		tr, err := workload.Materialize(p)
-		if err != nil {
-			panic(err)
-		}
-		mach, err := machine.New(p.Machine, p.Ranks, p.RanksPerNode)
-		if err != nil {
-			panic(err)
-		}
-		r, err := core.RunOnTrace(tr, mach, p)
-		if err != nil {
-			panic(err)
-		}
-		events += uint64(r.Events)
-	}
-	return events
 }
 
 // benchCampaignSource is the Source-native pipeline: one Runner with

@@ -55,7 +55,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dumpiconv:", err)
 		os.Exit(1)
 	}
-	if err := trace.Write(o, tr); err != nil {
+	if err := trace.WriteColumnsV3(o, trace.FromTrace(tr)); err != nil {
 		fmt.Fprintln(os.Stderr, "dumpiconv:", err)
 		os.Exit(1)
 	}

@@ -25,46 +25,41 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "mfact:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	app := flag.String("app", "", "generate a synthetic trace for this app")
 	class := flag.String("class", "B", "problem class for -app")
 	ranks := flag.Int("ranks", 64, "rank count for -app")
 	machName := flag.String("machine", "edison", "target machine")
 	seed := flag.Int64("seed", 1, "seed for -app")
-	parallel := flag.Bool("parallel", false, "use the goroutine-per-rank replayer")
 	grid := flag.Bool("grid", false, "print a 2-D bandwidth × latency what-if grid")
 	schemes := flag.String("schemes", "", "run these registered schemes over the trace and compare "+
 		"(comma-separated; available: "+strings.Join(scheme.Names(), ",")+")")
 	flag.Parse()
 
-	tr, err := loadOrGenerate(*app, *class, *ranks, *machName, *seed, flag.Arg(0))
+	tr, closeTrace, err := loadOrGenerate(*app, *class, *ranks, *machName, *seed, flag.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mfact:", err)
-		os.Exit(1)
+		return err
 	}
+	defer closeTrace()
 	mach, err := machine.New(tr.Meta.Machine, tr.Meta.NumRanks, tr.Meta.RanksPerNode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mfact:", err)
-		os.Exit(1)
+		return err
 	}
 
 	if *schemes != "" {
-		if err := runSchemes(tr, mach, *schemes); err != nil {
-			fmt.Fprintln(os.Stderr, "mfact:", err)
-			os.Exit(1)
-		}
-		return
+		return runSchemes(tr, mach, *schemes)
 	}
 
 	start := time.Now()
-	var res *mfact.Result
-	if *parallel {
-		res, err = mfact.ModelParallel(tr, mach, nil)
-	} else {
-		res, err = mfact.Model(tr, mach, nil)
-	}
+	res, err := mfact.ModelSource(tr, mach, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mfact:", err)
-		os.Exit(1)
+		return err
 	}
 	wall := time.Since(start)
 
@@ -82,8 +77,7 @@ func main() {
 	fmt.Printf("bandwidth sensitivity %+.1f%% (total time under β/8)\n", 100*res.BandwidthSensitivity())
 	fmt.Printf("latency sensitivity   %+.1f%% (total time under 8α)\n", 100*res.LatencySensitivity())
 	fmt.Printf("wait fraction         %.1f%%\n", 100*res.WaitFraction())
-	fmt.Printf("needs simulation?     %v (communication-sensitive: %v)\n\n",
-		res.CommSensitive(), res.CommSensitive())
+	fmt.Printf("needs simulation?     %v (communication-sensitive)\n\n", res.CommSensitive())
 
 	fmt.Println("configuration sweep:")
 	fmt.Printf("  %-22s %-14s %-14s\n", "config", "total", "comm")
@@ -98,17 +92,17 @@ func main() {
 	if *grid {
 		g, err := mfact.GridSweep(tr, mach, nil, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mfact:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Println()
 		fmt.Print(g.Render())
 	}
+	return nil
 }
 
 // runSchemes replays the trace through each selected registry scheme
 // and prints a side-by-side comparison.
-func runSchemes(tr *trace.Trace, mach *machine.Config, list string) error {
+func runSchemes(tr *trace.Columns, mach *machine.Config, list string) error {
 	ss, err := scheme.Resolve(scheme.ParseList(list))
 	if err != nil {
 		return err
@@ -127,26 +121,26 @@ func runSchemes(tr *trace.Trace, mach *machine.Config, list string) error {
 	return nil
 }
 
-func loadOrGenerate(app, class string, ranks int, machName string, seed int64, path string) (*trace.Trace, error) {
+// loadOrGenerate materializes a synthetic trace for -app, or opens the
+// trace file at path the way campaigns do: mapped, then validated. The
+// returned close function releases the mapping.
+func loadOrGenerate(app, class string, ranks int, machName string, seed int64, path string) (*trace.Columns, func(), error) {
 	if app != "" {
-		return workload.Materialize(workload.Params{
+		c, err := workload.MaterializeColumns(workload.Params{
 			App: app, Class: class, Ranks: ranks, Machine: machName, Seed: seed,
 		})
+		return c, func() {}, err
 	}
 	if path == "" {
-		return nil, fmt.Errorf("need a trace file argument or -app")
+		return nil, nil, fmt.Errorf("need a trace file argument or -app")
 	}
-	f, err := os.Open(path)
+	m, err := trace.OpenMapped(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		return nil, err
+	if err := m.Validate(); err != nil {
+		m.Close()
+		return nil, nil, err
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return m.Columns, func() { m.Close() }, nil
 }

@@ -26,6 +26,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "sstsim:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	model := flag.String("model", "packetflow", "network model: packet, flow, or packetflow")
 	packetBytes := flag.Int64("packet", 0, "packet size in bytes (0 = model default)")
 	app := flag.String("app", "", "generate a synthetic trace for this app")
@@ -37,40 +44,24 @@ func main() {
 		"(comma-separated; available: "+strings.Join(scheme.Names(), ",")+"; overrides -model)")
 	flag.Parse()
 
-	var tr *trace.Trace
-	var err error
-	if *app != "" {
-		tr, err = workload.Materialize(workload.Params{
-			App: *app, Class: *class, Ranks: *ranks, Machine: *machName, Seed: *seed,
-		})
-	} else if flag.Arg(0) != "" {
-		tr, err = readTrace(flag.Arg(0))
-	} else {
-		err = fmt.Errorf("need a trace file argument or -app")
-	}
+	tr, closeTrace, err := loadOrGenerate(*app, *class, *ranks, *machName, *seed, flag.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sstsim:", err)
-		os.Exit(1)
+		return err
 	}
+	defer closeTrace()
 	mach, err := machine.New(tr.Meta.Machine, tr.Meta.NumRanks, tr.Meta.RanksPerNode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sstsim:", err)
-		os.Exit(1)
+		return err
 	}
 
 	if *schemes != "" {
-		if err := runSchemes(tr, mach, *schemes); err != nil {
-			fmt.Fprintln(os.Stderr, "sstsim:", err)
-			os.Exit(1)
-		}
-		return
+		return runSchemes(tr, mach, *schemes)
 	}
 
 	start := time.Now()
-	res, err := mpisim.Replay(tr, simnet.Model(*model), mach, simnet.Config{PacketBytes: *packetBytes}, mpisim.Options{})
+	res, err := mpisim.ReplaySource(tr, simnet.Model(*model), mach, simnet.Config{PacketBytes: *packetBytes}, mpisim.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sstsim:", err)
-		os.Exit(1)
+		return err
 	}
 	wall := time.Since(start)
 
@@ -87,12 +78,13 @@ func main() {
 	s := res.Net
 	fmt.Printf("\nnetwork: %d messages, %d packets, %d flow updates, %.1f MB injected\n",
 		s.Messages, s.Packets, s.FlowUpdates, float64(s.BytesSent)/1e6)
+	return nil
 }
 
 // runSchemes replays the trace through each selected registry scheme
 // and prints a side-by-side comparison (the paper's Table II shape for
 // a single trace).
-func runSchemes(tr *trace.Trace, mach *machine.Config, list string) error {
+func runSchemes(tr *trace.Columns, mach *machine.Config, list string) error {
 	ss, err := scheme.Resolve(scheme.ParseList(list))
 	if err != nil {
 		return err
@@ -112,15 +104,26 @@ func runSchemes(tr *trace.Trace, mach *machine.Config, list string) error {
 	return nil
 }
 
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// loadOrGenerate materializes a synthetic trace for -app, or opens the
+// trace file at path the way campaigns do: mapped, then validated. The
+// returned close function releases the mapping.
+func loadOrGenerate(app, class string, ranks int, machName string, seed int64, path string) (*trace.Columns, func(), error) {
+	if app != "" {
+		c, err := workload.MaterializeColumns(workload.Params{
+			App: app, Class: class, Ranks: ranks, Machine: machName, Seed: seed,
+		})
+		return c, func() {}, err
 	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		return nil, err
+	if path == "" {
+		return nil, nil, fmt.Errorf("need a trace file argument or -app")
 	}
-	return tr, tr.Validate()
+	m, err := trace.OpenMapped(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.Validate(); err != nil {
+		m.Close()
+		return nil, nil, err
+	}
+	return m.Columns, func() { m.Close() }, nil
 }

@@ -77,73 +77,60 @@ func describeCache(dir string) error {
 }
 
 func describe(path string, verbose bool) error {
-	version, err := trace.FileVersion(path)
+	m, err := trace.OpenMapped(path)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cols, err := trace.ReadColumns(f)
-	if err != nil {
-		return err
-	}
-	if err := cols.Validate(); err != nil {
+	defer m.Close()
+	if err := m.Validate(); err != nil {
 		return fmt.Errorf("invalid trace: %w", err)
 	}
-	tr := cols.Materialize()
+	c := m.Columns
 
 	fmt.Printf("%s\n", path)
-	fmt.Printf("  codec         v%d", version)
-	if version == 3 {
-		fmt.Printf(" (zero-copy mappable)")
-	}
-	fmt.Println()
-	fmt.Printf("  id            %s\n", tr.Meta.ID())
-	fmt.Printf("  ranks         %d (%d per node)\n", tr.Meta.NumRanks, tr.Meta.RanksPerNode)
-	fmt.Printf("  machine       %s\n", tr.Meta.Machine)
-	fmt.Printf("  seed          %d\n", tr.Meta.Seed)
+	fmt.Printf("  codec         v%d (zero-copy mapped: %v)\n", trace.VersionV3, m.ZeroCopy())
+	fmt.Printf("  id            %s\n", c.Meta.ID())
+	fmt.Printf("  ranks         %d (%d per node)\n", c.Meta.NumRanks, c.Meta.RanksPerNode)
+	fmt.Printf("  machine       %s\n", c.Meta.Machine)
+	fmt.Printf("  seed          %d\n", c.Meta.Seed)
 	fmt.Printf("  capabilities  commSplit=%v threadMultiple=%v\n",
-		tr.Meta.UsesCommSplit, tr.Meta.UsesThreadMultiple)
-	fmt.Printf("  communicators %d\n", tr.Comms.Len())
-	fmt.Printf("  events        %d\n", tr.NumEvents())
+		c.Meta.UsesCommSplit, c.Meta.UsesThreadMultiple)
+	fmt.Printf("  communicators %d\n", c.Comms.Len())
+	fmt.Printf("  events        %d\n", c.NumEvents())
 	fmt.Printf("  measured      total %v, comm %v (%.1f%%)\n",
-		tr.MeasuredTotal(), tr.MeasuredComm(), 100*tr.CommFraction())
-	colBytes, aosBytes := cols.FootprintBytes(), trace.AoSFootprintBytes(tr)
-	fmt.Printf("  resident est  columnar %.2f MB, array-of-structs %.2f MB (%.0f%%)\n",
-		float64(colBytes)/1e6, float64(aosBytes)/1e6, 100*float64(colBytes)/float64(max(aosBytes, 1)))
-	// A v3 file maps in as-is, so its on-disk size IS the mapped
-	// resident estimate (file-backed, reclaimable, shared across
-	// processes mapping the same trace).
-	fmt.Printf("  v3 mapped est %.2f MB file-backed (%.0f%% of columnar heap)\n",
-		float64(trace.V3Size(cols))/1e6, 100*float64(trace.V3Size(cols))/float64(max(colBytes, 1)))
+		c.MeasuredTotal(), c.MeasuredComm(), 100*c.CommFraction())
+	// The file maps in as-is, so its size IS the mapped resident
+	// estimate (file-backed, reclaimable, shared across processes
+	// mapping the same trace).
+	colBytes, fileBytes := c.FootprintBytes(), trace.V3Size(c)
+	fmt.Printf("  resident est  columnar heap %.2f MB, mapped %.2f MB file-backed\n",
+		float64(colBytes)/1e6, float64(fileBytes)/1e6)
 
 	counts := map[trace.Op]int{}
 	var bytes int64
-	for _, evs := range tr.Ranks {
-		for i := range evs {
-			counts[evs[i].Op]++
+	var e trace.Event
+	for r := 0; r < c.NumRanks(); r++ {
+		for cur := c.Cursor(r); cur.Next(&e); {
+			counts[e.Op]++
 			nMembers := 0
-			if evs[i].Op.IsCollective() {
-				nMembers = tr.Comms.Size(evs[i].Comm)
+			if e.Op.IsCollective() {
+				nMembers = c.Comms.Size(e.Comm)
 			}
-			bytes += evs[i].TotalSendBytes(nMembers)
+			bytes += e.TotalSendBytes(nMembers)
 		}
 	}
 	fmt.Printf("  bytes sent    %.2f MB\n", float64(bytes)/1e6)
 	fmt.Printf("  operations   ")
 	for op := trace.Op(0); int(op) < 32; op++ {
-		if c := counts[op]; c > 0 {
-			fmt.Printf(" %s=%d", op, c)
+		if n := counts[op]; n > 0 {
+			fmt.Printf(" %s=%d", op, n)
 		}
 	}
 	fmt.Println()
 
 	if verbose {
 		fmt.Println("  features (Table III, MFACT classification omitted):")
-		v := features.Extract(tr, nil)
+		v := features.ExtractSource(c, nil)
 		names := features.Names()
 		for i, n := range names {
 			fmt.Printf("    %-8s %.6g\n", n, v[i])

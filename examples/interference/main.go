@@ -19,7 +19,7 @@ import (
 
 func main() {
 	p := workload.Params{App: "FT", Class: "A", Ranks: 64, Machine: "edison", Seed: 21}
-	tr, err := workload.Materialize(p)
+	tr, err := workload.MaterializeColumns(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	model, err := mfact.Model(tr, mach, nil)
+	model, err := mfact.ModelSource(tr, mach, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	clean, err := mpisim.Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
+	clean, err := mpisim.ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 		{Sources: 16, MsgBytes: 256 << 10, Interval: 300 * simtime.Microsecond, Seed: 7},
 	} {
 		bg := bg
-		res, err := mpisim.Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{Background: &bg})
+		res, err := mpisim.ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{Background: &bg})
 		if err != nil {
 			log.Fatal(err)
 		}

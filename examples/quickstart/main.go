@@ -26,7 +26,7 @@ func main() {
 		Machine: "edison",
 		Seed:    42,
 	}
-	tr, err := workload.Materialize(params)
+	tr, err := workload.MaterializeColumns(params)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func main() {
 	// application time on a whole sweep of network configurations and
 	// classifies the application.
 	start := time.Now()
-	model, err := mfact.Model(tr, mach, nil)
+	model, err := mfact.ModelSource(tr, mach, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 	// 3. Simulate with the packet-flow model: a full discrete-event
 	// network simulation that observes contention.
 	start = time.Now()
-	sim, err := mpisim.Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
+	sim, err := mpisim.ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	p := workload.Params{App: "CG", Class: "B", Ranks: 64, Machine: "cielito", Seed: 11}
-	tr, err := workload.Materialize(p)
+	tr, err := workload.MaterializeColumns(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func main() {
 		{BWScale: 1, LatScale: 1, CompScale: 0.1},
 		{BWScale: 10, LatScale: 0.1, CompScale: 0.1},
 	}
-	res, err := mfact.Model(tr, mach, configs)
+	res, err := mfact.ModelSource(tr, mach, configs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	for _, name := range append(machine.Names(), "fattree") {
 		q := p
 		q.Machine = name
-		t2, err := workload.Generate(q) // structure only; timestamps irrelevant here
+		t2, err := workload.GenerateColumns(q) // structure only; timestamps irrelevant here
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim, err := mpisim.Replay(t2, simnet.PacketFlow, m2, simnet.Config{}, mpisim.Options{})
+		sim, err := mpisim.ReplaySource(t2, simnet.PacketFlow, m2, simnet.Config{}, mpisim.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

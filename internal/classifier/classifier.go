@@ -22,7 +22,7 @@ const NeedSimThreshold = 0.02
 type Observation struct {
 	// ID identifies the trace (trace.Meta.ID()).
 	ID string
-	// X is the 35-entry feature vector (features.Extract order).
+	// X is the 35-entry feature vector (features.ExtractSource order).
 	X []float64
 	// DiffTotal is |T_sim / T_model − 1| for the packet-flow model.
 	DiffTotal float64

@@ -7,58 +7,59 @@ import (
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/mfact"
 	"hpctradeoff/internal/mpisim"
+	"hpctradeoff/internal/scheme"
 	"hpctradeoff/internal/simnet"
+	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
 
 // TestColumnarReplayBitIdentical is the determinism contract for the
 // columnar trace core: for every application in the suite, replaying
-// the columnar representation (built natively, never materialized)
-// must produce results bit-identical to replaying the classic
-// array-of-structs trace — for MFACT (sequential and parallel) and for
+// the columnar representation (built natively) must produce results
+// bit-identical to replaying its array-of-structs reference
+// (cols.Materialize()) — for MFACT (sequential and parallel) and for
 // every packet simulator that supports the trace. Any divergence means
 // the Source access path changed replay semantics, not just layout.
 func TestColumnarReplayBitIdentical(t *testing.T) {
 	for i, app := range workload.Apps() {
 		t.Run(app, func(t *testing.T) {
 			p := workload.Params{App: app, Class: "S", Ranks: 8, Machine: "edison", Seed: int64(300 + i)}
-			tr, err := workload.Generate(p)
-			if err != nil {
-				t.Fatalf("Generate: %v", err)
-			}
 			cols, err := workload.GenerateColumns(p)
 			if err != nil {
 				t.Fatalf("GenerateColumns: %v", err)
 			}
+			tr := cols.Materialize()
 			mach, err := machine.New(p.Machine, p.Ranks, 0)
 			if err != nil {
 				t.Fatalf("machine: %v", err)
 			}
 
 			// MFACT: the logical-clock model over the full standard sweep.
-			want, err := mfact.Model(tr, mach, nil)
+			want, err := mfact.ModelSource(tr, mach, nil)
 			if err != nil {
-				t.Fatalf("mfact.Model(Trace): %v", err)
+				t.Fatalf("mfact.ModelSource(Trace): %v", err)
 			}
 			got, err := mfact.ModelSource(cols, mach, nil)
 			if err != nil {
 				t.Fatalf("mfact.ModelSource(Columns): %v", err)
 			}
 			requireSameMFACT(t, "sequential", want, got)
-			gotPar, err := mfact.ModelParallelSource(cols, mach, nil)
-			if err != nil {
-				t.Fatalf("mfact.ModelParallelSource(Columns): %v", err)
+			for name, src := range map[string]trace.Source{"Trace": tr, "Columns": cols} {
+				gotPar, err := mfact.ModelParallelSource(src, mach, nil)
+				if err != nil {
+					t.Fatalf("mfact.ModelParallelSource(%s): %v", name, err)
+				}
+				requireSameMFACT(t, "parallel "+name, want, gotPar)
 			}
-			requireSameMFACT(t, "parallel", want, gotPar)
 
 			// Packet simulation: every model that can replay this trace.
 			for _, model := range simnet.Models() {
 				if !simnet.Supports(model, tr.Meta.UsesCommSplit, tr.Meta.UsesThreadMultiple) {
 					continue
 				}
-				wr, err := mpisim.Replay(tr, model, mach, simnet.Config{}, mpisim.Options{})
+				wr, err := mpisim.ReplaySource(tr, model, mach, simnet.Config{}, mpisim.Options{})
 				if err != nil {
-					t.Fatalf("%s: Replay(Trace): %v", model, err)
+					t.Fatalf("%s: ReplaySource(Trace): %v", model, err)
 				}
 				gr, err := mpisim.ReplaySource(cols, model, mach, simnet.Config{}, mpisim.Options{})
 				if err != nil {
@@ -86,9 +87,10 @@ func TestColumnarReplayBitIdentical(t *testing.T) {
 // suite, the full RunOne path (columnar materialization, session-held
 // scheme replays, Source-walk feature extraction) must produce a
 // TraceResult exactly equal — field for field, except the
-// wall-clock-dependent Outcome.Wall — to running the same schemes over
-// the classic materialized array-of-structs trace via the deprecated
-// RunOnTrace path.
+// wall-clock-dependent Outcome.Wall — to stamping and running the same
+// schemes over the array-of-structs reference trace. That also holds
+// array-of-structs and columnar stamping to writing back the same
+// times.
 func TestCampaignSourceNativeBitIdentical(t *testing.T) {
 	rn, err := NewRunner(nil)
 	if err != nil {
@@ -105,18 +107,23 @@ func TestCampaignSourceNativeBitIdentical(t *testing.T) {
 				t.Fatalf("RunOne (source-native): %v", err)
 			}
 
-			// Materialized path: stamped array-of-structs trace.
-			tr, err := workload.Materialize(p)
+			// Reference path: the array-of-structs trace, stamped and
+			// replayed in that form.
+			cols, err := workload.GenerateColumns(p)
 			if err != nil {
-				t.Fatalf("Materialize: %v", err)
+				t.Fatalf("GenerateColumns: %v", err)
+			}
+			tr := cols.Materialize()
+			if err := workload.Stamp(tr, p, workload.Limits{}); err != nil {
+				t.Fatalf("Stamp: %v", err)
 			}
 			mach, err := machine.New(p.Machine, p.Ranks, p.RanksPerNode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := RunOnTrace(tr, mach, p)
+			want, err := rn.runSource(tr, mach, p, scheme.Options{})
 			if err != nil {
-				t.Fatalf("RunOnTrace (materialized): %v", err)
+				t.Fatalf("runSource (array-of-structs): %v", err)
 			}
 
 			if got.ID != want.ID || got.Measured != want.Measured ||

@@ -293,21 +293,6 @@ func RunOneOpts(p workload.Params, ro RunOptions) (*TraceResult, error) {
 	return rn.RunOne(p, ro)
 }
 
-// RunOnTrace runs every registered scheme on an already-materialized
-// array-of-structs trace.
-//
-// Deprecated: RunOnTrace is kept for pre-registry callers holding a
-// *trace.Trace. The campaign path is Source-native (Runner.RunOne):
-// it stamps and replays a columnar trace and never builds the
-// array-of-structs form.
-func RunOnTrace(t *trace.Trace, mach *machine.Config, p workload.Params) (*TraceResult, error) {
-	rn, err := NewRunner(nil)
-	if err != nil {
-		return nil, err
-	}
-	return rn.runSource(t, mach, p, scheme.Options{})
-}
-
 // RunSuite runs the given manifest with a worker pool (both tools use
 // all cores on the study machine). progress, if non-nil, is called
 // after each trace completes. RunSuite is the fail-fast front end of

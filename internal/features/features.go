@@ -42,15 +42,11 @@ func Index(name string) int {
 	return -1
 }
 
-// Extract computes the feature vector for a measured trace and its
-// MFACT result. Time-valued features are in seconds; counts are raw.
-func Extract(tr *trace.Trace, model *mfact.Result) []float64 {
-	return ExtractSource(tr, model)
-}
-
-// ExtractSource is Extract over any trace representation: the walk
-// goes through the Source access path only, so array-of-structs and
-// columnar traces produce bit-identical feature vectors.
+// ExtractSource computes the feature vector for a measured trace and
+// its MFACT result. Time-valued features are in seconds; counts are
+// raw. The walk goes through the Source access path only, so
+// array-of-structs and columnar traces produce bit-identical feature
+// vectors.
 func ExtractSource(src trace.Source, model *mfact.Result) []float64 {
 	meta := src.TraceMeta()
 	comms := src.TraceComms()

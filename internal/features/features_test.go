@@ -43,7 +43,7 @@ func TestExtractHandBuilt(t *testing.T) {
 	tr.Ranks[0][1].Entry, tr.Ranks[0][1].Exit = simtime.Second, simtime.Second+simtime.Millisecond
 	tr.Ranks[1][1].Entry, tr.Ranks[1][1].Exit = simtime.Second, simtime.Second+simtime.Millisecond
 
-	v := Extract(tr, nil)
+	v := ExtractSource(tr, nil)
 	get := func(name string) float64 { return v[Index(name)] }
 	if get("R") != 2 || get("RN") != 2 || get("N") != 1 {
 		t.Errorf("R/RN/N = %v/%v/%v", get("R"), get("RN"), get("N"))
@@ -91,7 +91,7 @@ func TestExtractHandBuilt(t *testing.T) {
 
 func TestExtractOnRealTrace(t *testing.T) {
 	p := workload.Params{App: "FT", Class: "S", Ranks: 16, Machine: "edison", Seed: 7}
-	tr, err := workload.Materialize(p)
+	tr, err := workload.MaterializeColumns(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestExtractOnRealTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mfact.Model(tr, mach, nil)
+	res, err := mfact.ModelSource(tr, mach, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := Extract(tr, res)
+	v := ExtractSource(tr, res)
 	if len(v) != 35 {
 		t.Fatalf("vector has %d entries", len(v))
 	}
@@ -157,7 +157,7 @@ func TestExtractBarrierAndWaitPaths(t *testing.T) {
 			cursor = tr.Ranks[i][j].Exit
 		}
 	}
-	v := Extract(tr, nil)
+	v := ExtractSource(tr, nil)
 	get := func(name string) float64 { return v[Index(name)] }
 	if get("NoB") != 4 {
 		t.Errorf("NoB = %v, want 4", get("NoB"))

@@ -55,7 +55,7 @@ func BenchmarkReplaySequential(b *testing.B) {
 	mach := benchMach(b, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Model(tr, mach, nil); err != nil {
+		if _, err := ModelSource(tr, mach, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkReplayParallel(b *testing.B) {
 	mach := benchMach(b, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ModelParallel(tr, mach, nil); err != nil {
+		if _, err := ModelParallelSource(tr, mach, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func BenchmarkSweepWidth(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("configs=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Model(tr, mach, cfgs); err != nil {
+				if _, err := ModelSource(tr, mach, cfgs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -103,7 +103,7 @@ func BenchmarkOnePassVsPerConfig(b *testing.B) {
 	sweep := StandardSweep()
 	b.Run("one-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Model(tr, mach, sweep); err != nil {
+			if _, err := ModelSource(tr, mach, sweep); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -111,7 +111,7 @@ func BenchmarkOnePassVsPerConfig(b *testing.B) {
 	b.Run("per-config", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, cfg := range sweep[1:] {
-				if _, err := Model(tr, mach, []NetConfig{Baseline, cfg}); err != nil {
+				if _, err := ModelSource(tr, mach, []NetConfig{Baseline, cfg}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -56,11 +56,11 @@ func Calibrate(mach *machine.Config, model simnet.Model, sizes []int64) (*Calibr
 			b.Send(int(peer), 0, int32(1000+i), sz, trace.CommWorld)
 			b.Recv(0, peer, int32(1000+i), sz, trace.CommWorld)
 		}
-		tr, err := b.Build()
+		c, err := b.BuildColumns()
 		if err != nil {
 			return nil, err
 		}
-		res, err := mpisim.Replay(tr, model, mach, simnet.Config{}, mpisim.Options{})
+		res, err := mpisim.ReplaySource(c, model, mach, simnet.Config{}, mpisim.Options{})
 		if err != nil {
 			return nil, err
 		}

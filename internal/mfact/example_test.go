@@ -9,9 +9,9 @@ import (
 	"hpctradeoff/internal/trace"
 )
 
-// ExampleModel models a tiny two-rank program on Edison and reads the
+// ExampleModelSource models a tiny two-rank program on Edison and reads the
 // prediction for a what-if network with half the bandwidth.
-func ExampleModel() {
+func ExampleModelSource() {
 	b := trace.NewBuilder(trace.Meta{App: "example", NumRanks: 2})
 	b.Compute(0, 10*simtime.Millisecond)
 	b.Compute(1, 10*simtime.Millisecond)
@@ -26,7 +26,7 @@ func ExampleModel() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := mfact.Model(tr, mach, []mfact.NetConfig{
+	res, err := mfact.ModelSource(tr, mach, []mfact.NetConfig{
 		mfact.Baseline,
 		{BWScale: 0.5, LatScale: 1, CompScale: 1},
 	})

@@ -24,9 +24,9 @@ type Grid struct {
 	Class Class
 }
 
-// GridSweep replays tr once over the full bw × lat cross product.
+// GridSweep replays src once over the full bw × lat cross product.
 // Nil axes default to {1/4, 1/2, 1, 2, 4}.
-func GridSweep(tr *trace.Trace, mach *machine.Config, bwScales, latScales []float64) (*Grid, error) {
+func GridSweep(src trace.Source, mach *machine.Config, bwScales, latScales []float64) (*Grid, error) {
 	if bwScales == nil {
 		bwScales = []float64{0.25, 0.5, 1, 2, 4}
 	}
@@ -39,7 +39,7 @@ func GridSweep(tr *trace.Trace, mach *machine.Config, bwScales, latScales []floa
 			cfgs = append(cfgs, NetConfig{BWScale: bw, LatScale: lat, CompScale: 1})
 		}
 	}
-	res, err := Model(tr, mach, cfgs)
+	res, err := ModelSource(src, mach, cfgs)
 	if err != nil {
 		return nil, err
 	}

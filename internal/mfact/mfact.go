@@ -112,25 +112,16 @@ func (r *Result) TotalAt(cfg NetConfig) simtime.Time {
 	return -1
 }
 
-// Model replays tr once with the sequential replayer over the given
-// configurations (StandardSweep if nil) and classifies the
-// application.
-func Model(tr *trace.Trace, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(tr, mach, configs, false, nil)
-}
-
-// ModelParallel is Model using the goroutine-per-rank replayer.
-func ModelParallel(tr *trace.Trace, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(tr, mach, configs, true, nil)
-}
-
-// ModelSource is Model over any trace representation (array-of-structs
-// or columnar); by the determinism contract both replay bit-identically.
+// ModelSource replays src once with the sequential replayer over the
+// given configurations (StandardSweep if nil) and classifies the
+// application. Any trace representation replays bit-identically (the
+// determinism contract).
 func ModelSource(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
 	return run(src, mach, configs, false, nil)
 }
 
-// ModelParallelSource is ModelParallel over any trace representation.
+// ModelParallelSource is ModelSource using the goroutine-per-rank
+// replayer, the independent cross-check of the sequential one.
 func ModelParallelSource(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
 	return run(src, mach, configs, true, nil)
 }

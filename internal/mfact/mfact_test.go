@@ -36,7 +36,7 @@ func TestComputeOnlyPrediction(t *testing.T) {
 	}
 	tr := build(t, b)
 	mach := testMach(t, 4)
-	res, err := Model(tr, mach, nil)
+	res, err := ModelSource(tr, mach, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestHockneyPingPrediction(t *testing.T) {
 	b.Recv(7, 0, 0, bytes, trace.CommWorld)
 	tr := build(t, b)
 	mach := testMach(t, 8)
-	res, err := Model(tr, mach, nil)
+	res, err := ModelSource(tr, mach, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestBandwidthScalingMonotone(t *testing.T) {
 		b.Collective(r, trace.OpAlltoall, trace.CommWorld, 0, 1<<20)
 	}
 	tr := build(t, b)
-	res, err := Model(tr, testMach(t, 16), nil)
+	res, err := ModelSource(tr, testMach(t, 16), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestLatencyBoundClassification(t *testing.T) {
 		b.Recv(0, 7, 1, 8, trace.CommWorld)
 	}
 	tr := build(t, b)
-	res, err := Model(tr, testMach(t, 8), nil)
+	res, err := ModelSource(tr, testMach(t, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestLoadImbalanceClassification(t *testing.T) {
 		}
 	}
 	tr := build(t, b)
-	res, err := Model(tr, testMach(t, 8), nil)
+	res, err := ModelSource(tr, testMach(t, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestLoadImbalanceClassification(t *testing.T) {
 func TestSweepMatchesSingleConfigRuns(t *testing.T) {
 	tr := randomMixedTrace(t, rand.New(rand.NewSource(7)), 12)
 	mach := testMach(t, 12)
-	sweep, err := Model(tr, mach, nil)
+	sweep, err := ModelSource(tr, mach, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSweepMatchesSingleConfigRuns(t *testing.T) {
 		if k%3 != 0 {
 			continue // spot-check a third of the grid
 		}
-		solo, err := Model(tr, mach, []NetConfig{Baseline, cfg})
+		solo, err := ModelSource(tr, mach, []NetConfig{Baseline, cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,11 +227,11 @@ func TestParallelMatchesSequentialProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomMixedTrace(t, rng, 12)
-		seq, err := Model(tr, mach, nil)
+		seq, err := ModelSource(tr, mach, nil)
 		if err != nil {
 			t.Fatalf("sequential: %v", err)
 		}
-		par, err := ModelParallel(tr, mach, nil)
+		par, err := ModelParallelSource(tr, mach, nil)
 		if err != nil {
 			t.Fatalf("parallel: %v", err)
 		}
@@ -247,7 +247,7 @@ func TestParallelMatchesSequentialProperty(t *testing.T) {
 
 func TestEventsMatchTraceSize(t *testing.T) {
 	tr := randomMixedTrace(t, rand.New(rand.NewSource(3)), 8)
-	res, err := Model(tr, testMach(t, 8), nil)
+	res, err := ModelSource(tr, testMach(t, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSubCommunicatorCollectives(t *testing.T) {
 		b.Compute(r, simtime.Millisecond)
 	}
 	tr := build(t, b)
-	res, err := Model(tr, testMach(t, 8), nil)
+	res, err := ModelSource(tr, testMach(t, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +281,10 @@ func TestRejectsBadConfigs(t *testing.T) {
 	b.Compute(1, simtime.Millisecond)
 	tr := build(t, b)
 	mach := testMach(t, 2)
-	if _, err := Model(tr, mach, []NetConfig{{BWScale: 2, LatScale: 1, CompScale: 1}}); err == nil {
+	if _, err := ModelSource(tr, mach, []NetConfig{{BWScale: 2, LatScale: 1, CompScale: 1}}); err == nil {
 		t.Error("non-baseline config 0 accepted")
 	}
-	if _, err := Model(tr, mach, []NetConfig{Baseline, {BWScale: -1, LatScale: 1, CompScale: 1}}); err == nil {
+	if _, err := ModelSource(tr, mach, []NetConfig{Baseline, {BWScale: -1, LatScale: 1, CompScale: 1}}); err == nil {
 		t.Error("negative scale accepted")
 	}
 }
@@ -335,7 +335,7 @@ func TestModelingFasterThanTraceGrowth(t *testing.T) {
 	// events, not more.
 	rng := rand.New(rand.NewSource(11))
 	tr1 := randomMixedTrace(t, rng, 8)
-	res1, err := Model(tr1, testMach(t, 8), nil)
+	res1, err := ModelSource(tr1, testMach(t, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

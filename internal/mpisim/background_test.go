@@ -27,11 +27,11 @@ func TestBackgroundInterferenceSlowsCommApp(t *testing.T) {
 	tr := b.build(t)
 	mach := testMach(t, 32)
 
-	clean, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	clean, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{
+	noisy, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{
 		Background: &Background{
 			Sources:  8,
 			MsgBytes: 64 << 10,
@@ -62,11 +62,11 @@ func TestBackgroundDeterministic(t *testing.T) {
 	tr := b.build(t)
 	mach := testMach(t, 8)
 	opts := Options{Background: &Background{Sources: 4, MsgBytes: 64 << 10, Interval: 50 * simtime.Microsecond, Seed: 3}}
-	r1, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, opts)
+	r1, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, opts)
+	r2, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBackgroundStops(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, 4)
-	res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{
+	res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{
 		Background: &Background{Sources: 2, MsgBytes: 4096, Interval: 10 * simtime.Microsecond, Seed: 1},
 	})
 	if err != nil {

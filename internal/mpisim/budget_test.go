@@ -34,7 +34,7 @@ func busyTrace(t *testing.T, ranks, rounds int) *trace.Trace {
 func TestReplayMaxEvents(t *testing.T) {
 	tr := busyTrace(t, 4, 100)
 	mach := testMach(t, 4)
-	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{MaxEvents: 64})
+	_, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{MaxEvents: 64})
 	if !errors.Is(err, des.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -50,7 +50,7 @@ func TestReplayMaxEvents(t *testing.T) {
 func TestReplayDeadlinePassed(t *testing.T) {
 	tr := busyTrace(t, 4, 100)
 	mach := testMach(t, 4)
-	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{},
+	_, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{},
 		Options{Deadline: time.Now().Add(-time.Hour)})
 	if !errors.Is(err, des.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
@@ -60,7 +60,7 @@ func TestReplayDeadlinePassed(t *testing.T) {
 func TestReplayMaxSimTime(t *testing.T) {
 	tr := busyTrace(t, 4, 100)
 	mach := testMach(t, 4)
-	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{},
+	_, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{},
 		Options{MaxSimTime: 3 * simtime.Microsecond})
 	if !errors.Is(err, des.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
@@ -70,7 +70,7 @@ func TestReplayMaxSimTime(t *testing.T) {
 func TestReplayWithinBudgetSucceeds(t *testing.T) {
 	tr := busyTrace(t, 4, 3)
 	mach := testMach(t, 4)
-	res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{},
+	res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{},
 		Options{MaxEvents: 10_000_000, Deadline: time.Now().Add(time.Minute)})
 	if err != nil {
 		t.Fatalf("replay inside budget failed: %v", err)
@@ -90,7 +90,7 @@ func TestReplayDeadlockIsTyped(t *testing.T) {
 	tr.Ranks[1] = append(tr.Ranks[1],
 		trace.Event{Op: trace.OpCompute, Peer: trace.NoPeer, Req: trace.NoReq, Exit: simtime.Microsecond})
 	mach := testMach(t, 2)
-	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	_, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -104,7 +104,7 @@ func TestReplayUnknownRequestDiagnosed(t *testing.T) {
 	tr.Ranks[0] = append(tr.Ranks[0],
 		trace.Event{Op: trace.OpWait, Peer: trace.NoPeer, Req: 42})
 	mach := testMach(t, 1)
-	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	_, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if !errors.Is(err, ErrUnknownRequest) {
 		t.Fatalf("err = %v, want ErrUnknownRequest", err)
 	}

@@ -24,7 +24,7 @@ func TestReplayRejectsUndersizedMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{}); err == nil {
+	if _, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{}); err == nil {
 		t.Fatal("undersized machine accepted")
 	}
 }
@@ -45,7 +45,7 @@ func TestReplayDeadlockReportNamesTheRank(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, 12)
-	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	_, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err == nil {
 		t.Fatal("rendezvous cycle not detected")
 	}
@@ -67,7 +67,7 @@ func TestReplayMixedEagerBreaksCycle(t *testing.T) {
 	b.recv(0, 2, 5, big)
 	tr := b.build(t)
 	mach := testMach(t, 12)
-	if _, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{}); err != nil {
+	if _, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{}); err != nil {
 		t.Fatalf("eager-broken cycle failed: %v", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestReplayZeroRanksAndSingleRank(t *testing.T) {
 	b.compute(0, simtime.Millisecond)
 	tr := b.build(t)
 	mach := testMach(t, 4)
-	res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestReplayManySmallCollectivesStress(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, 12)
-	res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

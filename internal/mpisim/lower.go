@@ -199,7 +199,7 @@ func (lw *lowerer) synth(rank int) int32 {
 }
 
 // lookup resolves a trace request id to its renumbered replay id.
-// Validated traces never miss, but Replay accepts unvalidated traces,
+// Validated traces never miss, but ReplaySource accepts unvalidated traces,
 // so a miss is reported as a diagnosable malformed-trace error (in the
 // style of the deadlock report) rather than a panic.
 func (lw *lowerer) lookup(rank, event int, orig int32) (int32, error) {

@@ -68,7 +68,7 @@ type Options struct {
 	Background *Background
 
 	// MaxEvents caps the number of DES events the replay may execute;
-	// past the cap Replay fails with an error wrapping
+	// past the cap ReplaySource fails with an error wrapping
 	// des.ErrBudgetExceeded. Zero means unlimited. This is the campaign
 	// layer's defense against runaway or livelocked replays.
 	MaxEvents uint64
@@ -80,7 +80,7 @@ type Options struct {
 	Deadline time.Time
 	// Cancel, when non-nil, stops the replay when closed: a watcher
 	// calls the engine's Stop(), the run halts at its next scheduling
-	// boundary, and Replay fails with an error wrapping
+	// boundary, and ReplaySource fails with an error wrapping
 	// des.ErrCanceled. This is how a signal handler shuts a campaign
 	// down without losing journaled results.
 	Cancel <-chan struct{}
@@ -103,16 +103,11 @@ type Result struct {
 	Net simnet.Stats
 }
 
-// Replay runs tr through the given network model on machine mach and
-// returns predictions. The trace must be valid (trace.Validate).
-func Replay(tr *trace.Trace, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options) (*Result, error) {
-	return ReplaySource(tr, model, mach, netCfg, opts)
-}
-
-// ReplaySource is Replay over any trace representation: the replay
-// walks src through the Source access path only, so array-of-structs
-// and columnar traces replay identically (and, by the determinism
-// contract, bit-identically).
+// ReplaySource runs src through the given network model on machine
+// mach and returns predictions. The trace must be valid
+// (trace.Validate). The replay walks src through the Source access path
+// only, so array-of-structs and columnar traces replay identically
+// (and, by the determinism contract, bit-identically).
 func ReplaySource(src trace.Source, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options) (*Result, error) {
 	return replaySource(src, model, mach, netCfg, opts, nil)
 }

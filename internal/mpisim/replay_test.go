@@ -24,7 +24,7 @@ func replayAll(t *testing.T, tr *trace.Trace, opts Options) map[simnet.Model]*Re
 	out := map[simnet.Model]*Result{}
 	mach := testMach(t, tr.Meta.NumRanks)
 	for _, m := range simnet.Models() {
-		res, err := Replay(tr, m, mach, simnet.Config{}, opts)
+		res, err := ReplaySource(tr, m, mach, simnet.Config{}, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -55,7 +55,7 @@ func TestReplayComputeScaling(t *testing.T) {
 	b.compute(1, 10*simtime.Millisecond)
 	tr := b.build(t)
 	mach := testMach(t, 2)
-	half, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{CompScale: 0.5})
+	half, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{CompScale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestReplayNonblockingOverlap(t *testing.T) {
 		return b.build(t)
 	}
 	mach := testMach(t, 8)
-	ov, err := Replay(mk(true), simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	ov, err := ReplaySource(mk(true), simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Replay(mk(false), simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	seq, err := ReplaySource(mk(false), simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReplayAllCollectives(t *testing.T) {
 			}
 			tr := b.build(t)
 			mach := testMach(t, n)
-			res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+			res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 			if err != nil {
 				t.Fatalf("n=%d %v: %v", n, op, err)
 			}
@@ -158,7 +158,7 @@ func TestReplayBruckVsPairwiseAlltoall(t *testing.T) {
 		}
 		tr := b.build(t)
 		mach := testMach(t, 16)
-		res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+		res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 		if err != nil {
 			t.Fatalf("bytes=%d: %v", bytes, err)
 		}
@@ -182,7 +182,7 @@ func TestReplayAlltoallvAsymmetric(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, n)
-	res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestReplaySubCommunicator(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, n)
-	res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestReplaySubCommunicator(t *testing.T) {
 		t.Error("sub-communicator allreduce produced zero total")
 	}
 	// Flow (SST/Macro 3.0 analog) must refuse comm-split traces.
-	if _, err := Replay(tr, simnet.Flow, mach, simnet.Config{}, Options{}); err == nil {
+	if _, err := ReplaySource(tr, simnet.Flow, mach, simnet.Config{}, Options{}); err == nil {
 		t.Error("flow model accepted a comm-split trace")
 	}
 }
@@ -223,11 +223,11 @@ func TestReplayUnsupportedThreadMultiple(t *testing.T) {
 	tr.Meta.UsesThreadMultiple = true
 	mach := testMach(t, 2)
 	for _, m := range []simnet.Model{simnet.Packet, simnet.Flow} {
-		if _, err := Replay(tr, m, mach, simnet.Config{}, Options{}); err == nil {
+		if _, err := ReplaySource(tr, m, mach, simnet.Config{}, Options{}); err == nil {
 			t.Errorf("%s accepted a thread-multiple trace", m)
 		}
 	}
-	if _, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{}); err != nil {
+	if _, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{}); err != nil {
 		t.Errorf("packet-flow rejected a thread-multiple trace: %v", err)
 	}
 }
@@ -244,7 +244,7 @@ func TestReplayDetectsRendezvousDeadlock(t *testing.T) {
 	b.recv(7, 0, 1, big)
 	tr := b.build(t)
 	mach := testMach(t, 8)
-	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	_, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock report", err)
 	}
@@ -260,7 +260,7 @@ func TestReplayEagerCrossDoesNotDeadlock(t *testing.T) {
 	b.recv(7, 0, 1, small)
 	tr := b.build(t)
 	mach := testMach(t, 8)
-	if _, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{}); err != nil {
+	if _, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -274,7 +274,7 @@ func TestReplayRecordWritesValidTimestamps(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, 8)
-	res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{Record: true})
+	res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +301,12 @@ func TestReplayNoiseIncreasesAndIsDeterministic(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, 8)
-	clean, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	clean, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() simtime.Time {
-		res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{},
+		res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{},
 			Options{Perturb: DefaultNoise(42, 8)})
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +335,7 @@ func TestReplayLoadImbalanceShowsAsCommTime(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, 4)
-	res, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	res, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +355,11 @@ func TestReplayEventsCounted(t *testing.T) {
 	}
 	tr := b.build(t)
 	mach := testMach(t, 16)
-	pkt, err := Replay(tr, simnet.Packet, mach, simnet.Config{}, Options{})
+	pkt, err := ReplaySource(tr, simnet.Packet, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfl, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	pfl, err := ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,70 +6,91 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"unsafe"
 
 	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/simtime"
 )
 
-// Binary trace formats ("HTRC"): compact varint-based encodings in the
-// spirit of DUMPI's binary record stream.
+// Binary trace format ("HTRC", version 3, zero-copy): the on-disk
+// layout IS the in-memory Columns layout. After a fixed 64-byte header
+// and a varint meta blob, the file holds one fixed-size extent record
+// per rank and then the raw little-endian column arrays themselves —
+// op bytes, int64 entry/exit times, int32 field columns, and the two
+// payload arenas — each 8-byte aligned within the file. A file
+// therefore maps into memory with mmap and zero decode: OpenMapped
+// builds a *Columns whose column slices alias the mapping directly, so
+// opening a trace allocates nothing proportional to its length.
 //
-// Version 1 (array-of-structs): per rank, an event count followed by a
-// per-event field stream — one op byte, delta-coded times, then the
-// op's fields.
+// Versions 1 (varint array-of-structs) and 2 (varint column blocks)
+// are no longer read: such files are rejected with ErrBadFormat naming
+// the version found, and are regenerated with cmd/tracegen or
+// cmd/dumpiconv.
 //
-// Version 2 (columnar): per rank, an event count followed by
-// length-prefixed column blocks — the op column raw, the time column
-// delta-coded, then one block per field family (point-to-point, wait,
-// collective, alltoallv), each holding only the rows whose ops use it.
-// The layout mirrors the in-memory Columns store, so encode and decode
-// move column arrays directly instead of running a per-event
-// switch-and-build loop, and a reader can skip a block it does not
-// need by its length prefix.
+// Safety contract: magic and version are checked first, then every
+// extent is validated before any slice is formed — in bounds of the
+// file, 8-byte aligned, no offset/length overflow — and every
+// Waitall/Alltoallv row's arena window is checked against its arena's
+// length, so a hostile file can never over-map or index out of the
+// mapping. ReadColumns parses a stream through the same parser as
+// OpenMapped (copy-decoding when the platform is big-endian or the
+// buffer is unaligned), so acceptance is identical across the
+// zero-copy and fallback paths.
 //
-// Version 3 (zero-copy, codec_v3.go): the on-disk layout is the
-// in-memory Columns layout itself — fixed 64-byte header, per-rank
-// column extents, raw little-endian field arrays and arenas — so a v3
-// file maps in with mmap (OpenMapped) and zero decode.
+// Layout (all integers little-endian):
 //
-// All versions share the magic and the meta + communicator table
-// encoding; Read and ReadColumns each accept any version, converting
-// as needed.
+//	[ 0, 4)   magic "HTRC"
+//	[ 4, 5)   version 3
+//	[ 5, 8)   zero padding
+//	[ 8,12)   u32 header size (64)
+//	[12,16)   u32 rank count
+//	[16,24)   u64 meta blob offset
+//	[24,32)   u64 meta blob length
+//	[32,40)   u64 extent table offset (rankCount × 128-byte records)
+//	[40,48)   u64 total file size (a shorter or longer input is rejected)
+//	[48,64)   reserved (zero)
 //
-// Times are delta-coded per rank (Entry relative to previous Exit,
-// Exit relative to Entry) so long traces stay small.
+// Meta blob: uvarint/varint-framed Meta fields, a flags byte, then the
+// communicator table (per communicator a member count and delta-coded
+// member ranks; the world communicator is implicit on decode).
+//
+// Extent record (one per rank, 16 × u64 = 128 bytes):
+//
+//	n, reqArenaLen, sbArenaLen,
+//	offsets of: op, entry, exit, peer, tag, root, req, comm, bytes,
+//	            auxOff, auxLen, reqArena, sbArena
 
 const (
-	binaryMagic           = "HTRC"
-	binaryVersion         = 1
-	binaryVersionColumnar = 2
+	binaryMagic     = "HTRC"
+	binaryVersionV3 = 3
 
 	maxRanks      = 1 << 24
 	maxRankEvents = 1 << 30
-	maxBlockBytes = 1 << 31
+
+	v3HeaderSize = 64
+	v3ExtentSize = 16 * 8
+	v3Align      = 8
 )
 
-// ErrBadFormat reports a malformed or truncated binary trace stream.
+// ErrBadFormat reports a malformed, truncated, or unsupported binary
+// trace stream.
 var ErrBadFormat = errors.New("trace: bad binary format")
 
-// encoder buffers varint encoding over a bufio.Writer.
-type encoder struct {
-	bw  *bufio.Writer
-	buf []byte
-}
+// failRead is the codec's failpoint, hit once per rank parsed. An armed
+// fault surfaces as a read error from ReadColumns/OpenMapped — injected
+// failures are always loud, never a silently short trace. Disarmed it
+// is a nil check.
+var failRead = faultinject.NewSite("trace/codec-read")
 
-func (e *encoder) put(v uint64)  { e.buf = binary.AppendUvarint(e.buf[:0], v); e.bw.Write(e.buf) }
-func (e *encoder) putI(v int64)  { e.buf = binary.AppendVarint(e.buf[:0], v); e.bw.Write(e.buf) }
-func (e *encoder) putS(s string) { e.put(uint64(len(s))); e.bw.WriteString(s) }
-
-func writeMetaComms(e *encoder, meta Meta, comms *CommTable) {
-	e.putS(meta.App)
-	e.putS(meta.Class)
-	e.putS(meta.Machine)
-	e.put(uint64(meta.NumRanks))
-	e.put(uint64(meta.RanksPerNode))
-	e.putI(meta.Seed)
+// appendMetaComms appends the meta blob for meta and comms to b.
+func appendMetaComms(b []byte, meta Meta, comms *CommTable) []byte {
+	str := func(s string) { b = binary.AppendUvarint(b, uint64(len(s))); b = append(b, s...) }
+	str(meta.App)
+	str(meta.Class)
+	str(meta.Machine)
+	b = binary.AppendUvarint(b, uint64(meta.NumRanks))
+	b = binary.AppendUvarint(b, uint64(meta.RanksPerNode))
+	b = binary.AppendVarint(b, meta.Seed)
 	var flags byte
 	if meta.UsesCommSplit {
 		flags |= 1
@@ -77,190 +98,25 @@ func writeMetaComms(e *encoder, meta Meta, comms *CommTable) {
 	if meta.UsesThreadMultiple {
 		flags |= 2
 	}
-	e.bw.WriteByte(flags)
+	b = append(b, flags)
 
-	e.put(uint64(comms.Len()))
+	b = binary.AppendUvarint(b, uint64(comms.Len()))
 	for c := 0; c < comms.Len(); c++ {
 		members := comms.Members(CommID(c))
-		e.put(uint64(len(members)))
+		b = binary.AppendUvarint(b, uint64(len(members)))
 		prev := int32(0)
 		for _, m := range members {
-			e.putI(int64(m - prev)) // delta; first is absolute from 0
+			b = binary.AppendVarint(b, int64(m-prev)) // delta; first is absolute from 0
 			prev = m
 		}
 	}
+	return b
 }
 
-// Write encodes t in the version-1 (array-of-structs) binary format.
-func Write(w io.Writer, t *Trace) error {
-	if len(t.Ranks) != t.Meta.NumRanks {
-		return fmt.Errorf("trace: %d rank streams but meta says %d ranks",
-			len(t.Ranks), t.Meta.NumRanks)
-	}
-	e := &encoder{bw: bufio.NewWriterSize(w, 1<<16)}
-	e.bw.WriteString(binaryMagic)
-	e.put(binaryVersion)
-	writeMetaComms(e, t.Meta, &t.Comms)
-
-	for _, evs := range t.Ranks {
-		e.put(uint64(len(evs)))
-		var cursor simtime.Time
-		for i := range evs {
-			ev := &evs[i]
-			e.bw.WriteByte(byte(ev.Op))
-			e.putI(int64(ev.Entry - cursor))
-			e.putI(int64(ev.Exit - ev.Entry))
-			cursor = ev.Exit
-			switch {
-			case ev.Op == OpCompute:
-				// Times only.
-			case ev.Op.IsP2P():
-				e.putI(int64(ev.Peer))
-				e.putI(int64(ev.Tag))
-				e.put(uint64(ev.Bytes))
-				e.putI(int64(ev.Comm))
-				e.putI(int64(ev.Req))
-			case ev.Op == OpWait:
-				e.putI(int64(ev.Req))
-			case ev.Op == OpWaitall:
-				e.put(uint64(len(ev.Reqs)))
-				for _, r := range ev.Reqs {
-					e.putI(int64(r))
-				}
-			case ev.Op == OpAlltoallv:
-				e.putI(int64(ev.Comm))
-				e.put(uint64(len(ev.SendBytes)))
-				for _, b := range ev.SendBytes {
-					e.put(uint64(b))
-				}
-			default: // remaining collectives
-				e.putI(int64(ev.Comm))
-				e.putI(int64(ev.Root))
-				e.put(uint64(ev.Bytes))
-			}
-		}
-	}
-	return e.bw.Flush()
-}
-
-// WriteColumns encodes c in the version-2 columnar binary format.
-func WriteColumns(w io.Writer, c *Columns) error {
-	e := &encoder{bw: bufio.NewWriterSize(w, 1<<16)}
-	e.bw.WriteString(binaryMagic)
-	e.put(binaryVersionColumnar)
-	writeMetaComms(e, c.Meta, &c.Comms)
-
-	var block []byte // reused scratch for one column block at a time
-	flush := func() {
-		e.put(uint64(len(block)))
-		e.bw.Write(block)
-		block = block[:0]
-	}
-	for r := range c.ranks {
-		rc := &c.ranks[r]
-		n := len(rc.op)
-		e.put(uint64(n))
-		if n == 0 {
-			continue
-		}
-		// Op column, raw.
-		for _, op := range rc.op {
-			block = append(block, byte(op))
-		}
-		flush()
-		// Time column, delta-coded (dEntry from previous exit, dExit
-		// from entry).
-		var cursor simtime.Time
-		for i := 0; i < n; i++ {
-			block = binary.AppendVarint(block, int64(rc.entry[i]-cursor))
-			block = binary.AppendVarint(block, int64(rc.exit[i]-rc.entry[i]))
-			cursor = rc.exit[i]
-		}
-		flush()
-		// Point-to-point block: peer, tag, bytes, comm, req.
-		for i := 0; i < n; i++ {
-			if rc.op[i].IsP2P() {
-				block = binary.AppendVarint(block, int64(rc.peer[i]))
-				block = binary.AppendVarint(block, int64(rc.tag[i]))
-				block = binary.AppendUvarint(block, uint64(rc.bytes[i]))
-				block = binary.AppendVarint(block, int64(rc.comm[i]))
-				block = binary.AppendVarint(block, int64(rc.req[i]))
-			}
-		}
-		flush()
-		// Wait block: wait reqs and waitall request sets.
-		for i := 0; i < n; i++ {
-			switch rc.op[i] {
-			case OpWait:
-				block = binary.AppendVarint(block, int64(rc.req[i]))
-			case OpWaitall:
-				set := rc.reqArena[rc.auxOff[i] : rc.auxOff[i]+rc.auxLen[i]]
-				block = binary.AppendUvarint(block, uint64(len(set)))
-				for _, q := range set {
-					block = binary.AppendVarint(block, int64(q))
-				}
-			}
-		}
-		flush()
-		// Collective block (all but alltoallv): comm, root, bytes.
-		for i := 0; i < n; i++ {
-			if rc.op[i].IsCollective() && rc.op[i] != OpAlltoallv {
-				block = binary.AppendVarint(block, int64(rc.comm[i]))
-				block = binary.AppendVarint(block, int64(rc.root[i]))
-				block = binary.AppendUvarint(block, uint64(rc.bytes[i]))
-			}
-		}
-		flush()
-		// Alltoallv block: comm plus the per-member send table.
-		for i := 0; i < n; i++ {
-			if rc.op[i] == OpAlltoallv {
-				block = binary.AppendVarint(block, int64(rc.comm[i]))
-				tbl := rc.sbArena[rc.auxOff[i] : rc.auxOff[i]+rc.auxLen[i]]
-				block = binary.AppendUvarint(block, uint64(len(tbl)))
-				for _, b := range tbl {
-					block = binary.AppendUvarint(block, uint64(b))
-				}
-			}
-		}
-		flush()
-	}
-	return e.bw.Flush()
-}
-
-// readHeader consumes magic, version, and — for the varint-framed
-// versions 1 and 2 — the meta and communicator table; both Read and
-// ReadColumns start here. A version-3 stream returns with zero
-// meta/table: its header is fixed binary, parsed whole by readV3Stream.
-func readHeader(r io.Reader) (*decoder, int, Meta, CommTable, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(binaryMagic))
-	var meta Meta
-	var ct CommTable
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, 0, meta, ct, fmt.Errorf("%w: missing magic: %v", ErrBadFormat, err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, 0, meta, ct, fmt.Errorf("%w: magic %q", ErrBadFormat, magic)
-	}
-	d := &decoder{br: br}
-	version := int(d.uvarint())
-	if d.err != nil || (version != binaryVersion && version != binaryVersionColumnar && version != binaryVersionV3) {
-		return nil, 0, meta, ct, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
-	}
-	if version == binaryVersionV3 {
-		return d, version, meta, ct, nil
-	}
-	meta, ct, err := parseMetaComms(d)
-	if err != nil {
-		return nil, version, meta, ct, err
-	}
-	return d, version, meta, ct, nil
-}
-
-// parseMetaComms decodes the varint-framed meta and communicator table
-// written by writeMetaComms (versions 1 and 2 inline it after the
-// version byte; version 3 carries it as a length-delimited blob).
-func parseMetaComms(d *decoder) (Meta, CommTable, error) {
+// parseMetaComms decodes a complete meta blob written by
+// appendMetaComms; trailing bytes are rejected.
+func parseMetaComms(blob []byte) (Meta, CommTable, error) {
+	d := &decoder{b: blob}
 	var meta Meta
 	var ct CommTable
 	meta.App = d.str()
@@ -302,280 +158,16 @@ func parseMetaComms(d *decoder) (Meta, CommTable, error) {
 	if d.err != nil {
 		return meta, ct, d.fail("comm table")
 	}
+	if len(d.b) != 0 {
+		return meta, ct, fmt.Errorf("%w: v3 meta blob has trailing bytes", ErrBadFormat)
+	}
 	return meta, ct, nil
 }
 
-// Read decodes a binary trace written by Write, WriteColumns, or
-// WriteColumnsV3 into array-of-structs form (columnar input is
-// materialized).
-func Read(r io.Reader) (*Trace, error) {
-	d, version, meta, ct, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if version == binaryVersionV3 {
-		c, err := readV3Stream(d)
-		if err != nil {
-			return nil, err
-		}
-		return c.Materialize(), nil
-	}
-	if version == binaryVersionColumnar {
-		c := &Columns{Meta: meta, Comms: ct, ranks: make([]rankCols, meta.NumRanks)}
-		if err := readColumnarBody(d, c); err != nil {
-			return nil, err
-		}
-		return c.Materialize(), nil
-	}
-	t := &Trace{Meta: meta, Comms: ct, Ranks: make([][]Event, meta.NumRanks)}
-	if err := readV1Body(d, t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReadColumns decodes a binary trace written by Write, WriteColumns,
-// or WriteColumnsV3 into columnar form (version-1 input is
-// columnarized; version-3 input parses with zero per-event decoding).
-func ReadColumns(r io.Reader) (*Columns, error) {
-	d, version, meta, ct, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if version == binaryVersionV3 {
-		return readV3Stream(d)
-	}
-	if version == binaryVersion {
-		t := &Trace{Meta: meta, Comms: ct, Ranks: make([][]Event, meta.NumRanks)}
-		if err := readV1Body(d, t); err != nil {
-			return nil, err
-		}
-		return FromTrace(t), nil
-	}
-	c := &Columns{Meta: meta, Comms: ct, ranks: make([]rankCols, meta.NumRanks)}
-	if err := readColumnarBody(d, c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// failRead is the codec's failpoint, hit once per rank body decoded
-// (both format versions). An armed fault surfaces as a read error from
-// Read/ReadColumns — injected failures are always loud, never a
-// silently short trace. Disarmed it is a nil check.
-var failRead = faultinject.NewSite("trace/codec-read")
-
-func readV1Body(d *decoder, t *Trace) error {
-	meta := t.Meta
-	for rank := 0; rank < meta.NumRanks; rank++ {
-		if err := failRead.Fail(); err != nil {
-			return fmt.Errorf("trace: rank %d: %w", rank, err)
-		}
-		n := int(d.uvarint())
-		if d.err != nil || n < 0 || n > maxRankEvents {
-			return d.fail("event count")
-		}
-		evs := make([]Event, n)
-		var cursor simtime.Time
-		for i := range evs {
-			e := &evs[i]
-			e.Op = Op(d.byte())
-			if !e.Op.Valid() {
-				return fmt.Errorf("%w: rank %d event %d: bad op", ErrBadFormat, rank, i)
-			}
-			e.Entry = cursor + simtime.Time(d.varint())
-			e.Exit = e.Entry + simtime.Time(d.varint())
-			cursor = e.Exit
-			e.Peer, e.Req = NoPeer, NoReq
-			switch {
-			case e.Op == OpCompute:
-			case e.Op.IsP2P():
-				e.Peer = int32(d.varint())
-				e.Tag = int32(d.varint())
-				e.Bytes = int64(d.uvarint())
-				e.Comm = CommID(d.varint())
-				e.Req = int32(d.varint())
-			case e.Op == OpWait:
-				e.Req = int32(d.varint())
-			case e.Op == OpWaitall:
-				k := int(d.uvarint())
-				if d.err != nil || k < 0 || k > math.MaxInt32 {
-					return d.fail("waitall reqs")
-				}
-				e.Reqs = make([]int32, k)
-				for j := range e.Reqs {
-					e.Reqs[j] = int32(d.varint())
-				}
-			case e.Op == OpAlltoallv:
-				e.Comm = CommID(d.varint())
-				k := int(d.uvarint())
-				if d.err != nil || k < 0 || k > maxRanks {
-					return d.fail("alltoallv counts")
-				}
-				e.SendBytes = make([]int64, k)
-				for j := range e.SendBytes {
-					e.SendBytes[j] = int64(d.uvarint())
-				}
-			default:
-				e.Comm = CommID(d.varint())
-				e.Root = int32(d.varint())
-				e.Bytes = int64(d.uvarint())
-			}
-			if d.err != nil {
-				return d.fail(fmt.Sprintf("rank %d event %d", rank, i))
-			}
-		}
-		t.Ranks[rank] = evs
-	}
-	return nil
-}
-
-// readColumnarBody decodes the version-2 per-rank column blocks into c.
-func readColumnarBody(d *decoder, c *Columns) error {
-	for rank := range c.ranks {
-		if err := failRead.Fail(); err != nil {
-			return fmt.Errorf("trace: rank %d: %w", rank, err)
-		}
-		n := int(d.uvarint())
-		if d.err != nil || n < 0 || n > maxRankEvents {
-			return d.fail("event count")
-		}
-		if n == 0 {
-			continue
-		}
-		rc := &c.ranks[rank]
-
-		// Op column: the block length must equal the event count, which
-		// bounds every later allocation by actual input size.
-		ops, err := d.block()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d op column: %v", ErrBadFormat, rank, err)
-		}
-		if len(ops) != n {
-			return fmt.Errorf("%w: rank %d: op column holds %d events, count says %d", ErrBadFormat, rank, len(ops), n)
-		}
-		rc.op = make([]Op, n)
-		for i, b := range ops {
-			op := Op(b)
-			if !op.Valid() {
-				return fmt.Errorf("%w: rank %d event %d: bad op %d", ErrBadFormat, rank, i, b)
-			}
-			rc.op[i] = op
-		}
-		rc.entry = make([]simtime.Time, n)
-		rc.exit = make([]simtime.Time, n)
-		rc.peer = make([]int32, n)
-		rc.tag = make([]int32, n)
-		rc.root = make([]int32, n)
-		rc.req = make([]int32, n)
-		rc.comm = make([]CommID, n)
-		rc.bytes = make([]int64, n)
-		rc.auxOff = make([]uint32, n)
-		rc.auxLen = make([]uint32, n)
-		for i := range rc.peer {
-			rc.peer[i], rc.req[i] = NoPeer, NoReq
-		}
-
-		// Time column.
-		tb, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d time column: %v", ErrBadFormat, rank, err)
-		}
-		var cursor simtime.Time
-		for i := 0; i < n; i++ {
-			rc.entry[i] = cursor + simtime.Time(tb.varint())
-			rc.exit[i] = rc.entry[i] + simtime.Time(tb.varint())
-			cursor = rc.exit[i]
-		}
-		if err := tb.done("time column", rank); err != nil {
-			return err
-		}
-
-		// Point-to-point column block.
-		pb, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d p2p block: %v", ErrBadFormat, rank, err)
-		}
-		for i := 0; i < n; i++ {
-			if rc.op[i].IsP2P() {
-				rc.peer[i] = int32(pb.varint())
-				rc.tag[i] = int32(pb.varint())
-				rc.bytes[i] = int64(pb.uvarint())
-				rc.comm[i] = CommID(pb.varint())
-				rc.req[i] = int32(pb.varint())
-			}
-		}
-		if err := pb.done("p2p block", rank); err != nil {
-			return err
-		}
-
-		// Wait column block.
-		wb, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d wait block: %v", ErrBadFormat, rank, err)
-		}
-		for i := 0; i < n; i++ {
-			switch rc.op[i] {
-			case OpWait:
-				rc.req[i] = int32(wb.varint())
-			case OpWaitall:
-				k := int(wb.uvarint())
-				if wb.err != nil || k < 0 || k > len(wb.b)+1 {
-					return fmt.Errorf("%w: rank %d event %d: waitall set of %d", ErrBadFormat, rank, i, k)
-				}
-				rc.auxOff[i], rc.auxLen[i] = uint32(len(rc.reqArena)), uint32(k)
-				for j := 0; j < k; j++ {
-					rc.reqArena = append(rc.reqArena, int32(wb.varint()))
-				}
-			}
-		}
-		if err := wb.done("wait block", rank); err != nil {
-			return err
-		}
-
-		// Collective column block.
-		cb, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d collective block: %v", ErrBadFormat, rank, err)
-		}
-		for i := 0; i < n; i++ {
-			if rc.op[i].IsCollective() && rc.op[i] != OpAlltoallv {
-				rc.comm[i] = CommID(cb.varint())
-				rc.root[i] = int32(cb.varint())
-				rc.bytes[i] = int64(cb.uvarint())
-			}
-		}
-		if err := cb.done("collective block", rank); err != nil {
-			return err
-		}
-
-		// Alltoallv column block.
-		ab, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d alltoallv block: %v", ErrBadFormat, rank, err)
-		}
-		for i := 0; i < n; i++ {
-			if rc.op[i] == OpAlltoallv {
-				rc.comm[i] = CommID(ab.varint())
-				k := int(ab.uvarint())
-				if ab.err != nil || k < 0 || k > maxRanks {
-					return fmt.Errorf("%w: rank %d event %d: alltoallv table of %d", ErrBadFormat, rank, i, k)
-				}
-				rc.auxOff[i], rc.auxLen[i] = uint32(len(rc.sbArena)), uint32(k)
-				for j := 0; j < k; j++ {
-					rc.sbArena = append(rc.sbArena, int64(ab.uvarint()))
-				}
-			}
-		}
-		if err := ab.done("alltoallv block", rank); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
+// decoder reads varints from the in-memory meta blob; the first error
+// sticks and every later read returns zero.
 type decoder struct {
-	br  *bufio.Reader
+	b   []byte
 	err error
 }
 
@@ -590,10 +182,12 @@ func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		d.err = err
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.err = io.ErrUnexpectedEOF
+		return 0
 	}
+	d.b = d.b[n:]
 	return v
 }
 
@@ -601,10 +195,12 @@ func (d *decoder) varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadVarint(d.br)
-	if err != nil {
-		d.err = err
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.err = io.ErrUnexpectedEOF
+		return 0
 	}
+	d.b = d.b[n:]
 	return v
 }
 
@@ -612,10 +208,12 @@ func (d *decoder) byte() byte {
 	if d.err != nil {
 		return 0
 	}
-	b, err := d.br.ReadByte()
-	if err != nil {
-		d.err = err
+	if len(d.b) == 0 {
+		d.err = io.ErrUnexpectedEOF
+		return 0
 	}
+	b := d.b[0]
+	d.b = d.b[1:]
 	return b
 }
 
@@ -628,88 +226,411 @@ func (d *decoder) str() string {
 		d.err = fmt.Errorf("string length %d too large", n)
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.br, b); err != nil {
-		d.err = err
+	if n > uint64(len(d.b)) {
+		d.err = io.ErrUnexpectedEOF
 		return ""
 	}
-	return string(b)
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
 }
 
-// block reads one length-prefixed column block. Allocation grows with
-// the bytes actually present in the stream, so a lying length prefix
-// cannot force a huge up-front allocation.
-func (d *decoder) block() ([]byte, error) {
-	ln := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
+// ReadColumns decodes a binary trace stream written by WriteColumnsV3.
+// The stream is read whole (allocation grows with the bytes actually
+// present, so a lying header cannot force a huge up-front allocation)
+// and goes through the same parser as OpenMapped — aliasing the heap
+// buffer when the host allows it, so even the streamed path decodes
+// nothing per event.
+func ReadColumns(r io.Reader) (*Columns, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading stream: %w", err)
 	}
-	if ln > maxBlockBytes {
-		return nil, fmt.Errorf("block length %d too large", ln)
-	}
-	var out []byte
-	const chunk = 1 << 16
-	for remaining := int(ln); remaining > 0; {
-		c := min(remaining, chunk)
-		start := len(out)
-		out = append(out, make([]byte, c)...)
-		if _, err := io.ReadFull(d.br, out[start:]); err != nil {
-			d.err = err
-			return nil, err
+	return parseV3(data, v3Aliasable(data))
+}
+
+// v3LittleEndian reports whether the host stores integers little-endian
+// (the only layout v3 aliases without decoding).
+var v3LittleEndian = func() bool {
+	var x uint16 = 1
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// v3Extent is one rank's decoded extent record.
+type v3Extent struct {
+	n, reqLen, sbLen uint64
+	// off holds the 13 column offsets in layout order.
+	off [13]uint64
+}
+
+// v3 column element sizes, in layout order: op, entry, exit, peer, tag,
+// root, req, comm, bytes, auxOff, auxLen, reqArena, sbArena.
+var v3ElemSize = [13]uint64{1, 8, 8, 4, 4, 4, 4, 4, 8, 4, 4, 4, 8}
+
+func v3AlignUp(off uint64) uint64 {
+	return (off + v3Align - 1) &^ uint64(v3Align-1)
+}
+
+// v3Layout computes every rank's extents and the total file size for
+// encoding c with a metaLen-byte meta blob.
+func v3Layout(c *Columns, metaLen int) ([]v3Extent, uint64) {
+	off := v3AlignUp(v3HeaderSize + uint64(metaLen))
+	off = v3AlignUp(off + uint64(len(c.ranks))*v3ExtentSize)
+	exts := make([]v3Extent, len(c.ranks))
+	for r := range c.ranks {
+		rc := &c.ranks[r]
+		e := &exts[r]
+		e.n = uint64(len(rc.op))
+		e.reqLen = uint64(len(rc.reqArena))
+		e.sbLen = uint64(len(rc.sbArena))
+		counts := [13]uint64{e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.reqLen, e.sbLen}
+		for i := range e.off {
+			off = v3AlignUp(off)
+			e.off[i] = off
+			off += counts[i] * v3ElemSize[i]
 		}
-		remaining -= c
 	}
-	return out, nil
+	return exts, v3AlignUp(off)
 }
 
-// blockDec reads a block and wraps it in a slice decoder.
-func (d *decoder) blockDec() (*sliceDec, error) {
-	b, err := d.block()
+// V3Size returns the exact encoded size of c in the version-3 format —
+// also its mapped-resident footprint, since a v3 file is its own
+// in-memory representation.
+func V3Size(c *Columns) int64 {
+	_, size := v3Layout(c, len(appendMetaComms(nil, c.Meta, &c.Comms)))
+	return int64(size)
+}
+
+// v3ExtTableOff returns the extent table offset for a metaLen-byte meta
+// blob (the layout is deterministic, so writer and reader agree).
+func v3ExtTableOff(metaLen int) uint64 {
+	return v3AlignUp(v3HeaderSize + uint64(metaLen))
+}
+
+// WriteColumnsV3 encodes c in the version-3 zero-copy binary format.
+func WriteColumnsV3(w io.Writer, c *Columns) error {
+	meta := appendMetaComms(nil, c.Meta, &c.Comms)
+	exts, fileSize := v3Layout(c, len(meta))
+	bw := bufio.NewWriterSize(w, 1<<16)
+	var pos uint64
+
+	var hdr [v3HeaderSize]byte
+	copy(hdr[0:4], binaryMagic)
+	hdr[4] = binaryVersionV3
+	binary.LittleEndian.PutUint32(hdr[8:12], v3HeaderSize)
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(c.ranks)))
+	binary.LittleEndian.PutUint64(hdr[16:24], v3HeaderSize)
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(meta)))
+	binary.LittleEndian.PutUint64(hdr[32:40], v3ExtTableOff(len(meta)))
+	binary.LittleEndian.PutUint64(hdr[40:48], fileSize)
+	bw.Write(hdr[:])
+	pos += v3HeaderSize
+	bw.Write(meta)
+	pos += uint64(len(meta))
+
+	pad := func(to uint64) {
+		for ; pos < to; pos++ {
+			bw.WriteByte(0)
+		}
+	}
+
+	pad(v3ExtTableOff(len(meta)))
+	var rec [v3ExtentSize]byte
+	for r := range exts {
+		e := &exts[r]
+		binary.LittleEndian.PutUint64(rec[0:], e.n)
+		binary.LittleEndian.PutUint64(rec[8:], e.reqLen)
+		binary.LittleEndian.PutUint64(rec[16:], e.sbLen)
+		for i, off := range e.off {
+			binary.LittleEndian.PutUint64(rec[24+8*i:], off)
+		}
+		bw.Write(rec[:])
+		pos += v3ExtentSize
+	}
+
+	for r := range c.ranks {
+		rc := &c.ranks[r]
+		e := &exts[r]
+		cols := [13]func(){
+			func() { pos += writeV3Ops(bw, rc.op) },
+			func() { pos += writeV3I64(bw, timesAsI64(rc.entry)) },
+			func() { pos += writeV3I64(bw, timesAsI64(rc.exit)) },
+			func() { pos += writeV3I32(bw, rc.peer) },
+			func() { pos += writeV3I32(bw, rc.tag) },
+			func() { pos += writeV3I32(bw, rc.root) },
+			func() { pos += writeV3I32(bw, rc.req) },
+			func() { pos += writeV3I32(bw, commsAsI32(rc.comm)) },
+			func() { pos += writeV3I64(bw, rc.bytes) },
+			func() { pos += writeV3U32(bw, rc.auxOff) },
+			func() { pos += writeV3U32(bw, rc.auxLen) },
+			func() { pos += writeV3I32(bw, rc.reqArena) },
+			func() { pos += writeV3I64(bw, rc.sbArena) },
+		}
+		for i, write := range cols {
+			pad(e.off[i])
+			write()
+		}
+	}
+	pad(fileSize)
+	return bw.Flush()
+}
+
+// The slice-reinterpretation helpers below are layout-preserving views
+// (simtime.Time and CommID are defined as int64/int32); they exist so
+// the typed writers stay monomorphic.
+func timesAsI64(s []simtime.Time) []int64 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*int64)(unsafe.Pointer(&s[0])), len(s))
+}
+
+func commsAsI32(s []CommID) []int32 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*int32)(unsafe.Pointer(&s[0])), len(s))
+}
+
+func writeV3Ops(bw *bufio.Writer, s []Op) uint64 {
+	if len(s) == 0 {
+		return 0
+	}
+	bw.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)))
+	return uint64(len(s))
+}
+
+func writeV3I64(bw *bufio.Writer, s []int64) uint64 {
+	if v3LittleEndian && len(s) > 0 {
+		bw.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8))
+		return uint64(len(s)) * 8
+	}
+	var b [8]byte
+	for _, v := range s {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		bw.Write(b[:])
+	}
+	return uint64(len(s)) * 8
+}
+
+func writeV3I32(bw *bufio.Writer, s []int32) uint64 {
+	if v3LittleEndian && len(s) > 0 {
+		bw.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4))
+		return uint64(len(s)) * 4
+	}
+	var b [4]byte
+	for _, v := range s {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		bw.Write(b[:])
+	}
+	return uint64(len(s)) * 4
+}
+
+func writeV3U32(bw *bufio.Writer, s []uint32) uint64 {
+	if v3LittleEndian && len(s) > 0 {
+		bw.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4))
+		return uint64(len(s)) * 4
+	}
+	var b [4]byte
+	for _, v := range s {
+		binary.LittleEndian.PutUint32(b[:], v)
+		bw.Write(b[:])
+	}
+	return uint64(len(s)) * 4
+}
+
+// v3Aliasable reports whether data can back zero-copy column slices:
+// a little-endian host and an 8-byte-aligned base (mmap regions always
+// are; heap buffers almost always are, but it is checked, not assumed).
+func v3Aliasable(data []byte) bool {
+	return v3LittleEndian && len(data) > 0 &&
+		uintptr(unsafe.Pointer(&data[0]))%v3Align == 0
+}
+
+// parseV3 parses a complete v3 file image. When alias is true the
+// returned Columns' slices point directly into data (zero decode; the
+// caller owns data's lifetime); otherwise every column is copied out
+// with explicit little-endian decoding, which works on any host.
+// Either way the same validation runs first, so the two modes accept
+// exactly the same inputs.
+func parseV3(data []byte, alias bool) (*Columns, error) {
+	if len(data) <= len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
+		return nil, fmt.Errorf("%w: missing %q magic", ErrBadFormat, binaryMagic)
+	}
+	if v := data[len(binaryMagic)]; v != binaryVersionV3 {
+		return nil, fmt.Errorf("%w: codec version %d, this build reads only version %d; regenerate the file with cmd/tracegen or cmd/dumpiconv",
+			ErrBadFormat, v, binaryVersionV3)
+	}
+	if len(data) < v3HeaderSize {
+		return nil, fmt.Errorf("%w: v3 header truncated at %d bytes", ErrBadFormat, len(data))
+	}
+	size := uint64(len(data))
+	hdrSize := binary.LittleEndian.Uint32(data[8:12])
+	numRanks := binary.LittleEndian.Uint32(data[12:16])
+	metaOff := binary.LittleEndian.Uint64(data[16:24])
+	metaLen := binary.LittleEndian.Uint64(data[24:32])
+	extOff := binary.LittleEndian.Uint64(data[32:40])
+	fileSize := binary.LittleEndian.Uint64(data[40:48])
+	if hdrSize != v3HeaderSize {
+		return nil, fmt.Errorf("%w: v3 header size %d", ErrBadFormat, hdrSize)
+	}
+	if fileSize != size {
+		return nil, fmt.Errorf("%w: v3 header says %d bytes, stream holds %d", ErrBadFormat, fileSize, size)
+	}
+	if numRanks > maxRanks {
+		return nil, fmt.Errorf("%w: implausible rank count %d", ErrBadFormat, numRanks)
+	}
+	if metaOff != v3HeaderSize || metaLen > size || metaOff+metaLen > size {
+		return nil, fmt.Errorf("%w: v3 meta blob [%d,+%d) out of bounds", ErrBadFormat, metaOff, metaLen)
+	}
+	if extOff != v3ExtTableOff(int(metaLen)) {
+		return nil, fmt.Errorf("%w: v3 extent table at %d, layout says %d", ErrBadFormat, extOff, v3ExtTableOff(int(metaLen)))
+	}
+	extEnd := extOff + uint64(numRanks)*v3ExtentSize
+	if extEnd < extOff || extEnd > size {
+		return nil, fmt.Errorf("%w: v3 extent table [%d,+%d×%d) out of bounds", ErrBadFormat, extOff, numRanks, v3ExtentSize)
+	}
+
+	meta, ct, err := parseMetaComms(data[metaOff : metaOff+metaLen])
 	if err != nil {
 		return nil, err
 	}
-	return &sliceDec{b: b}, nil
+	if meta.NumRanks != int(numRanks) {
+		return nil, fmt.Errorf("%w: meta says %d ranks, v3 header says %d", ErrBadFormat, meta.NumRanks, numRanks)
+	}
+
+	c := &Columns{Meta: meta, Comms: ct, ranks: make([]rankCols, numRanks)}
+	for r := 0; r < int(numRanks); r++ {
+		if err := failRead.Fail(); err != nil {
+			return nil, fmt.Errorf("trace: rank %d: %w", r, err)
+		}
+		rec := data[extOff+uint64(r)*v3ExtentSize:][:v3ExtentSize]
+		var e v3Extent
+		e.n = binary.LittleEndian.Uint64(rec[0:])
+		e.reqLen = binary.LittleEndian.Uint64(rec[8:])
+		e.sbLen = binary.LittleEndian.Uint64(rec[16:])
+		for i := range e.off {
+			e.off[i] = binary.LittleEndian.Uint64(rec[24+8*i:])
+		}
+		if e.n > maxRankEvents {
+			return nil, fmt.Errorf("%w: rank %d: implausible event count %d", ErrBadFormat, r, e.n)
+		}
+		counts := [13]uint64{e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.n, e.reqLen, e.sbLen}
+		for i := range e.off {
+			// The over-map guard: offset aligned, and offset+length inside
+			// the file with no uint64 wraparound. A failing extent rejects
+			// the whole stream before any slice over it exists.
+			if counts[i] == 0 {
+				continue
+			}
+			byteLen := counts[i] * v3ElemSize[i]
+			if byteLen/v3ElemSize[i] != counts[i] ||
+				e.off[i]%v3Align != 0 ||
+				e.off[i] > size || byteLen > size-e.off[i] {
+				return nil, fmt.Errorf("%w: rank %d column %d extent [%d,+%d) misaligned or out of bounds",
+					ErrBadFormat, r, i, e.off[i], byteLen)
+			}
+		}
+		rc := &c.ranks[r]
+		if alias {
+			aliasV3Rank(rc, data, &e)
+		} else {
+			copyV3Rank(rc, data, &e)
+		}
+		// Semantic validation over the (now typed) columns: ops must be
+		// valid, and every Waitall/Alltoallv row's arena window must lie
+		// inside its arena — EventAt subslices them unchecked. This is
+		// the only per-event work on the open path, so the loop ranges
+		// over the op column directly and touches the aux columns only
+		// on the (rare) windowed ops.
+		for i, op := range rc.op {
+			if op >= numOps {
+				return nil, fmt.Errorf("%w: rank %d event %d: bad op %d", ErrBadFormat, r, i, byte(op))
+			}
+			if op == OpWaitall {
+				if uint64(rc.auxOff[i])+uint64(rc.auxLen[i]) > e.reqLen {
+					return nil, fmt.Errorf("%w: rank %d event %d: waitall window [%d,+%d) outside arena of %d",
+						ErrBadFormat, r, i, rc.auxOff[i], rc.auxLen[i], e.reqLen)
+				}
+			} else if op == OpAlltoallv {
+				if uint64(rc.auxOff[i])+uint64(rc.auxLen[i]) > e.sbLen {
+					return nil, fmt.Errorf("%w: rank %d event %d: alltoallv window [%d,+%d) outside arena of %d",
+						ErrBadFormat, r, i, rc.auxOff[i], rc.auxLen[i], e.sbLen)
+				}
+			}
+		}
+	}
+	return c, nil
 }
 
-// sliceDec decodes varints from an in-memory column block.
-type sliceDec struct {
-	b   []byte
-	err error
+// aliasV3Rank points one rank's columns directly into the file image.
+func aliasV3Rank(rc *rankCols, data []byte, e *v3Extent) {
+	n := int(e.n)
+	at := func(i int) unsafe.Pointer { return unsafe.Pointer(&data[e.off[i]]) }
+	if n > 0 {
+		rc.op = unsafe.Slice((*Op)(at(0)), n)
+		rc.entry = unsafe.Slice((*simtime.Time)(at(1)), n)
+		rc.exit = unsafe.Slice((*simtime.Time)(at(2)), n)
+		rc.peer = unsafe.Slice((*int32)(at(3)), n)
+		rc.tag = unsafe.Slice((*int32)(at(4)), n)
+		rc.root = unsafe.Slice((*int32)(at(5)), n)
+		rc.req = unsafe.Slice((*int32)(at(6)), n)
+		rc.comm = unsafe.Slice((*CommID)(at(7)), n)
+		rc.bytes = unsafe.Slice((*int64)(at(8)), n)
+		rc.auxOff = unsafe.Slice((*uint32)(at(9)), n)
+		rc.auxLen = unsafe.Slice((*uint32)(at(10)), n)
+	}
+	if e.reqLen > 0 {
+		rc.reqArena = unsafe.Slice((*int32)(at(11)), int(e.reqLen))
+	}
+	if e.sbLen > 0 {
+		rc.sbArena = unsafe.Slice((*int64)(at(12)), int(e.sbLen))
+	}
 }
 
-func (s *sliceDec) uvarint() uint64 {
-	if s.err != nil {
-		return 0
+// copyV3Rank decodes one rank's columns into fresh slices with explicit
+// little-endian reads — the portable path for big-endian hosts and
+// unaligned buffers.
+func copyV3Rank(rc *rankCols, data []byte, e *v3Extent) {
+	n := int(e.n)
+	if n > 0 {
+		rc.op = make([]Op, n)
+		for i, b := range data[e.off[0]:][:n] {
+			rc.op[i] = Op(b)
+		}
+		rc.entry = make([]simtime.Time, n)
+		rc.exit = make([]simtime.Time, n)
+		rc.peer = make([]int32, n)
+		rc.tag = make([]int32, n)
+		rc.root = make([]int32, n)
+		rc.req = make([]int32, n)
+		rc.comm = make([]CommID, n)
+		rc.bytes = make([]int64, n)
+		rc.auxOff = make([]uint32, n)
+		rc.auxLen = make([]uint32, n)
+		for i := 0; i < n; i++ {
+			rc.entry[i] = simtime.Time(binary.LittleEndian.Uint64(data[e.off[1]+uint64(i)*8:]))
+			rc.exit[i] = simtime.Time(binary.LittleEndian.Uint64(data[e.off[2]+uint64(i)*8:]))
+			rc.peer[i] = int32(binary.LittleEndian.Uint32(data[e.off[3]+uint64(i)*4:]))
+			rc.tag[i] = int32(binary.LittleEndian.Uint32(data[e.off[4]+uint64(i)*4:]))
+			rc.root[i] = int32(binary.LittleEndian.Uint32(data[e.off[5]+uint64(i)*4:]))
+			rc.req[i] = int32(binary.LittleEndian.Uint32(data[e.off[6]+uint64(i)*4:]))
+			rc.comm[i] = CommID(binary.LittleEndian.Uint32(data[e.off[7]+uint64(i)*4:]))
+			rc.bytes[i] = int64(binary.LittleEndian.Uint64(data[e.off[8]+uint64(i)*8:]))
+			rc.auxOff[i] = binary.LittleEndian.Uint32(data[e.off[9]+uint64(i)*4:])
+			rc.auxLen[i] = binary.LittleEndian.Uint32(data[e.off[10]+uint64(i)*4:])
+		}
 	}
-	v, n := binary.Uvarint(s.b)
-	if n <= 0 {
-		s.err = io.ErrUnexpectedEOF
-		return 0
+	if e.reqLen > 0 {
+		rc.reqArena = make([]int32, e.reqLen)
+		for i := range rc.reqArena {
+			rc.reqArena[i] = int32(binary.LittleEndian.Uint32(data[e.off[11]+uint64(i)*4:]))
+		}
 	}
-	s.b = s.b[n:]
-	return v
-}
-
-func (s *sliceDec) varint() int64 {
-	if s.err != nil {
-		return 0
+	if e.sbLen > 0 {
+		rc.sbArena = make([]int64, e.sbLen)
+		for i := range rc.sbArena {
+			rc.sbArena[i] = int64(binary.LittleEndian.Uint64(data[e.off[12]+uint64(i)*8:]))
+		}
 	}
-	v, n := binary.Varint(s.b)
-	if n <= 0 {
-		s.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	s.b = s.b[n:]
-	return v
-}
-
-// done verifies the block was consumed exactly.
-func (s *sliceDec) done(what string, rank int) error {
-	if s.err != nil {
-		return fmt.Errorf("%w: rank %d %s: %v", ErrBadFormat, rank, what, s.err)
-	}
-	if len(s.b) != 0 {
-		return fmt.Errorf("%w: rank %d %s: %d trailing bytes", ErrBadFormat, rank, what, len(s.b))
-	}
-	return nil
 }

@@ -253,18 +253,3 @@ func (c *Columns) FootprintBytes() int64 {
 	}
 	return b
 }
-
-// AoSFootprintBytes estimates the resident heap bytes of the
-// array-of-structs representation of t: the Event rows plus the
-// per-event side slices.
-func AoSFootprintBytes(t *Trace) int64 {
-	var b int64
-	for _, evs := range t.Ranks {
-		b += int64(cap(evs)) * int64(unsafe.Sizeof(Event{}))
-		for i := range evs {
-			b += int64(cap(evs[i].Reqs)) * 4
-			b += int64(cap(evs[i].SendBytes)) * 8
-		}
-	}
-	return b
-}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hpctradeoff/internal/simtime"
 )
@@ -220,13 +221,28 @@ func TestColumnsValidate(t *testing.T) {
 func TestFootprintColumnsSmaller(t *testing.T) {
 	tr := richTrace(t)
 	cols := FromTrace(tr)
-	aos, soa := AoSFootprintBytes(tr), cols.FootprintBytes()
+	aos, soa := aosFootprintBytes(tr), cols.FootprintBytes()
 	if aos <= 0 || soa <= 0 {
 		t.Fatalf("footprints must be positive: aos=%d soa=%d", aos, soa)
 	}
 	if soa >= aos {
 		t.Errorf("columnar footprint %d not smaller than AoS %d", soa, aos)
 	}
+}
+
+// aosFootprintBytes estimates the resident heap bytes of the
+// array-of-structs representation of t: the Event rows plus the
+// per-event side slices.
+func aosFootprintBytes(t *Trace) int64 {
+	var b int64
+	for _, evs := range t.Ranks {
+		b += int64(cap(evs)) * int64(unsafe.Sizeof(Event{}))
+		for i := range evs {
+			b += int64(cap(evs[i].Reqs)) * 4
+			b += int64(cap(evs[i].SendBytes)) * 8
+		}
+	}
+	return b
 }
 
 func TestWindowedBuilderChunks(t *testing.T) {
@@ -270,38 +286,26 @@ func TestWindowedBuilderRejectsFullBuild(t *testing.T) {
 func TestColumnarCodecRoundTrip(t *testing.T) {
 	cols := richColumns(t)
 	var buf bytes.Buffer
-	if err := WriteColumns(&buf, cols); err != nil {
-		t.Fatalf("WriteColumns: %v", err)
+	if err := WriteColumnsV3(&buf, cols); err != nil {
+		t.Fatalf("WriteColumnsV3: %v", err)
 	}
-	v2 := buf.Bytes()
-
-	got, err := ReadColumns(bytes.NewReader(v2))
+	got, err := ReadColumns(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadColumns: %v", err)
 	}
-	want := cols.Materialize()
-	requireSameEvents(t, want, got)
+	requireSameEvents(t, cols.Materialize(), got)
 	if !reflect.DeepEqual(got.Meta, cols.Meta) || !commTablesEqual(&got.Comms, &cols.Comms) {
 		t.Fatal("header round trip differs")
 	}
-
-	// Read materializes v2 directly.
-	tr, err := Read(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("Read(v2): %v", err)
+	// A second encode of the decoded columns reproduces the file byte
+	// for byte: the layout is a pure function of the trace.
+	var again bytes.Buffer
+	if err := WriteColumnsV3(&again, got); err != nil {
+		t.Fatalf("re-encode: %v", err)
 	}
-	requireSameEvents(t, want, tr)
-
-	// ReadColumns accepts v1 by columnarizing.
-	buf.Reset()
-	if err := Write(&buf, want); err != nil {
-		t.Fatalf("Write: %v", err)
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("re-encoding the decoded trace changed its bytes")
 	}
-	fromV1, err := ReadColumns(&buf)
-	if err != nil {
-		t.Fatalf("ReadColumns(v1): %v", err)
-	}
-	requireSameEvents(t, want, fromV1)
 }
 
 func TestColumnarCodecRoundTripProperty(t *testing.T) {
@@ -309,13 +313,14 @@ func TestColumnarCodecRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTrace(rng)
 		var buf bytes.Buffer
-		if err := WriteColumns(&buf, FromTrace(tr)); err != nil {
-			t.Fatalf("WriteColumns: %v", err)
+		if err := WriteColumnsV3(&buf, FromTrace(tr)); err != nil {
+			t.Fatalf("WriteColumnsV3: %v", err)
 		}
-		got, err := Read(&buf)
+		c, err := ReadColumns(&buf)
 		if err != nil {
-			t.Fatalf("Read: %v", err)
+			t.Fatalf("ReadColumns: %v", err)
 		}
+		got := c.Materialize()
 		if !reflect.DeepEqual(tr.Meta, got.Meta) || !commTablesEqual(&tr.Comms, &got.Comms) {
 			return false
 		}
@@ -339,8 +344,8 @@ func TestColumnarCodecRoundTripProperty(t *testing.T) {
 func TestReadColumnsRejectsGarbage(t *testing.T) {
 	cols := richColumns(t)
 	var buf bytes.Buffer
-	if err := WriteColumns(&buf, cols); err != nil {
-		t.Fatalf("WriteColumns: %v", err)
+	if err := WriteColumnsV3(&buf, cols); err != nil {
+		t.Fatalf("WriteColumnsV3: %v", err)
 	}
 	good := buf.Bytes()
 
@@ -355,6 +360,5 @@ func TestReadColumnsRejectsGarbage(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[i] ^= 0xff
 		_, _ = ReadColumns(bytes.NewReader(bad))
-		_, _ = Read(bytes.NewReader(bad))
 	}
 }

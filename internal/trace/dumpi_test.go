@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"testing"
@@ -179,15 +180,16 @@ func TestDumpiImportReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := WriteJSON(&buf, tr); err != nil {
+	var buf bytes.Buffer
+	if err := WriteColumnsV3(&buf, FromTrace(tr)); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(strings.NewReader(buf.String()))
+	back, err := ReadColumns(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumEvents() != tr.NumEvents() {
-		t.Errorf("round trip lost events: %d vs %d", back.NumEvents(), tr.NumEvents())
+	requireSameEvents(t, tr, back)
+	if err := back.Validate(); err != nil {
+		t.Errorf("imported trace fails validation after the round trip: %v", err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hpctradeoff/internal/faultinject"
@@ -14,40 +16,42 @@ import (
 // valid inputs; disarmed, the codec is untouched.
 func TestCodecReadFailpoint(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(1)))
-	var aos, col bytes.Buffer
-	if err := Write(&aos, tr); err != nil {
+	var enc bytes.Buffer
+	if err := WriteColumnsV3(&enc, FromTrace(tr)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteColumns(&col, FromTrace(tr)); err != nil {
+	path := filepath.Join(t.TempDir(), "t.htrc")
+	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := faultinject.Arm(1, []faultinject.Rule{
-		{Site: "trace/codec-read", Hits: []uint64{1}},
-	}); err != nil {
-		t.Fatal(err)
+	arm := func(seed int64) {
+		t.Helper()
+		if err := faultinject.Arm(seed, []faultinject.Rule{
+			{Site: "trace/codec-read", Hits: []uint64{1}},
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	t.Cleanup(faultinject.Disarm)
 
-	if _, err := Read(bytes.NewReader(aos.Bytes())); !errors.Is(err, faultinject.ErrInjected) {
-		t.Errorf("Read err = %v, want injected", err)
+	arm(1)
+	if _, err := ReadColumns(bytes.NewReader(enc.Bytes())); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("ReadColumns err = %v, want injected", err)
 	}
 	// The rule is exhausted after one firing per arm; re-arm for the
-	// columnar path.
-	if err := faultinject.Arm(2, []faultinject.Rule{
-		{Site: "trace/codec-read", Hits: []uint64{1}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadColumns(bytes.NewReader(col.Bytes())); !errors.Is(err, faultinject.ErrInjected) {
-		t.Errorf("ReadColumns err = %v, want injected", err)
+	// mapped path.
+	arm(2)
+	if _, err := OpenMapped(path); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("OpenMapped err = %v, want injected", err)
 	}
 
 	faultinject.Disarm()
-	if _, err := Read(bytes.NewReader(aos.Bytes())); err != nil {
-		t.Errorf("disarmed Read failed: %v", err)
-	}
-	if _, err := ReadColumns(bytes.NewReader(col.Bytes())); err != nil {
+	if _, err := ReadColumns(bytes.NewReader(enc.Bytes())); err != nil {
 		t.Errorf("disarmed ReadColumns failed: %v", err)
 	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatalf("disarmed OpenMapped failed: %v", err)
+	}
+	m.Close()
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -13,8 +12,8 @@ import (
 	"testing"
 )
 
-// Fuzz targets: the decoders must never panic or hang on arbitrary
-// input, and anything they accept must either validate or fail
+// Fuzz targets: the decoder must never panic or hang on arbitrary
+// input, and anything it accepts must either validate or fail
 // validation gracefully. The seed corpus (valid encodings plus
 // mutations) runs as regression tests under plain `go test`; use
 // `go test -fuzz=FuzzRead ./internal/trace` to explore further.
@@ -24,7 +23,7 @@ func fuzzSeeds() [][]byte {
 	for s := int64(1); s <= 3; s++ {
 		tr := randomTrace(rand.New(rand.NewSource(s)))
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err == nil {
+		if err := WriteColumnsV3(&buf, FromTrace(tr)); err == nil {
 			seeds = append(seeds, buf.Bytes())
 		}
 	}
@@ -32,31 +31,38 @@ func fuzzSeeds() [][]byte {
 	return seeds
 }
 
+// FuzzRead drives the read-then-validate path every consumer of a
+// trace file takes: whatever ReadColumns accepts must be walkable with
+// cursors, and Validate may reject it but must not panic.
 func FuzzRead(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
+		c, err := ReadColumns(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Whatever decodes must be structurally walkable.
-		_ = tr.NumEvents()
-		_ = tr.MeasuredTotal()
-		_ = tr.Validate() // may fail; must not panic
+		_ = SourceNumEvents(c)
+		_ = SourceMeasuredTotal(c)
+		_ = c.Validate()
 	})
 }
 
-// codecSeeds builds the FuzzTraceCodec seed set deterministically:
-// valid version-1, -2, and -3 encodings of a program exercising every
-// op family, an empty trace, and precise corruptions per format — a
-// truncated column block, a lying block length prefix, a header that
-// promises more ranks than the stream holds, and for v3 a truncated
-// fixed header, a misaligned extent, an extent escaping the file, and
-// an extent whose byte length wraps uint64. The same bytes are
-// committed under testdata/fuzz/FuzzTraceCodec (TestWriteFuzzCorpus
-// regenerates them) so they run under plain `go test`.
+// codecSeeds builds the FuzzTraceCodec seed set deterministically: a
+// valid encoding of a program exercising every op family, an empty
+// trace, and precise corruptions — a fixed header cut short, a body
+// cut short, a header whose rank count disagrees with the meta, a
+// misaligned extent, an extent escaping the file, and an extent whose
+// byte length wraps uint64. The same bytes are committed under
+// testdata/fuzz/FuzzTraceCodec (TestWriteFuzzCorpus regenerates them)
+// so they run under plain `go test`.
+//
+// The committed corpus also holds five streams in the retired v1 and
+// v2 formats (seed-valid-v1, seed-valid-v2, seed-bad-length-prefix,
+// seed-truncated-block, seed-rank-count-mismatch), written by the last
+// encoders of those versions. No encoder remains to regenerate them;
+// they stay as real old files that both decode modes must reject.
 func codecSeeds() map[string][]byte {
 	build := func(meta Meta) *Columns {
 		b := NewBuilder(meta)
@@ -67,73 +73,33 @@ func codecSeeds() map[string][]byte {
 		}
 		return c
 	}
+	encode := func(c *Columns) []byte {
+		var buf bytes.Buffer
+		if err := WriteColumnsV3(&buf, c); err != nil {
+			panic(err)
+		}
+		return buf.Bytes()
+	}
 	meta := Meta{App: "fuzzseed", Class: "S", Machine: "m", NumRanks: 4, RanksPerNode: 2, Seed: 7}
-	c := build(meta)
-	var v1, v2 bytes.Buffer
-	if err := Write(&v1, c.Materialize()); err != nil {
-		panic(err)
-	}
-	if err := WriteColumns(&v2, c); err != nil {
-		panic(err)
-	}
-	seeds := map[string][]byte{
-		"valid-v1": v1.Bytes(),
-		"valid-v2": v2.Bytes(),
-	}
+	good := encode(build(meta))
+	seeds := map[string][]byte{"valid-v3": good}
 
 	empty, err := NewBuilder(Meta{App: "empty", NumRanks: 2}).BuildColumns()
 	if err != nil {
 		panic(err)
 	}
-	var ve bytes.Buffer
-	if err := WriteColumns(&ve, empty); err != nil {
-		panic(err)
-	}
-	seeds["empty-trace"] = ve.Bytes()
+	seeds["empty-trace"] = encode(empty)
 
-	seeds["truncated-block"] = v2.Bytes()[:v2.Len()*2/3]
+	seeds["v3-truncated-header"] = append([]byte{}, good[:v3HeaderSize-17]...)
+	seeds["v3-truncated-body"] = append([]byte{}, good[:len(good)*2/3]...)
 
-	// Splice an over-limit uvarint in place of rank 0's op-column
-	// length prefix (it sits right after the header and the rank-0
-	// event count).
-	var hdr bytes.Buffer
-	bw := bufio.NewWriter(&hdr)
-	e := &encoder{bw: bw}
-	bw.WriteString(binaryMagic)
-	e.put(binaryVersionColumnar)
-	writeMetaComms(e, c.Meta, &c.Comms)
-	bw.Flush()
-	full := v2.Bytes()
-	_, cw := binary.Uvarint(full[hdr.Len():]) // rank-0 event count width
-	off := hdr.Len() + cw
-	_, lw := binary.Uvarint(full[off:]) // old length-prefix width
-	bad := append([]byte{}, full[:off]...)
-	bad = binary.AppendUvarint(bad, uint64(maxBlockBytes)*4)
-	seeds["bad-length-prefix"] = append(bad, full[off+lw:]...)
-
-	// WriteColumns emits len(c.ranks) bodies but the header advertises
-	// Meta.NumRanks; bumping the meta after the build yields a stream
-	// that runs out of rank bodies.
+	// The header's rank count comes from the rank columns, the meta's
+	// from Meta.NumRanks; bumping the meta after the build yields a
+	// file whose two counts disagree.
 	cm := build(meta)
 	cm.Meta.NumRanks = 6
-	var vm bytes.Buffer
-	if err := WriteColumns(&vm, cm); err != nil {
-		panic(err)
-	}
-	seeds["rank-count-mismatch"] = vm.Bytes()
+	seeds["v3-rank-count-mismatch"] = encode(cm)
 
-	// Version-3 seeds: a valid zero-copy image plus the three corruption
-	// families its parser must reject before forming any slice — a
-	// header cut short, an extent knocked off 8-byte alignment, and an
-	// extent whose count × element size escapes the file (both the
-	// straightforward past-EOF case and a uint64 wraparound).
-	var v3 bytes.Buffer
-	if err := WriteColumnsV3(&v3, c); err != nil {
-		panic(err)
-	}
-	good := v3.Bytes()
-	seeds["valid-v3"] = good
-	seeds["v3-truncated-header"] = append([]byte{}, good[:v3HeaderSize-17]...)
 	extOff := binary.LittleEndian.Uint64(good[32:40])
 	mut := func(edit func(b []byte)) []byte {
 		b := append([]byte{}, good...)
@@ -155,10 +121,10 @@ func codecSeeds() map[string][]byte {
 	return seeds
 }
 
-// FuzzTraceCodec holds the two binary decoders together: on any input,
-// Read and ReadColumns must agree on acceptance, anything accepted
-// must decode to the same events through both, and a decode → encode →
-// decode cycle must be lossless in both formats.
+// FuzzTraceCodec holds the decoder's two modes together: on any input,
+// ReadColumns (which aliases its buffer when it can) and the
+// copy-decoding parser must agree on acceptance and on the events, and
+// anything accepted must survive an encode → decode cycle losslessly.
 func FuzzTraceCodec(f *testing.F) {
 	for _, s := range codecSeeds() {
 		f.Add(s)
@@ -166,68 +132,38 @@ func FuzzTraceCodec(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
+	// Retired versions and a stream that ends right after its version
+	// byte: rejected before any size check.
+	f.Add(oldVersionImage(1))
+	f.Add(oldVersionImage(2))
+	f.Add([]byte("HTRC\x03"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, trErr := Read(bytes.NewReader(data))
-		c, cErr := ReadColumns(bytes.NewReader(data))
-		if (trErr == nil) != (cErr == nil) {
-			t.Fatalf("decoders disagree: Read err %v, ReadColumns err %v", trErr, cErr)
+		c, err := ReadColumns(bytes.NewReader(data))
+		cCopy, copyErr := parseV3(data, false)
+		if (err == nil) != (copyErr == nil) {
+			t.Fatalf("decode modes disagree: ReadColumns err %v, copy-mode err %v", err, copyErr)
 		}
-		if trErr != nil {
+		if err != nil {
 			return
 		}
-		if c.Meta != tr.Meta {
-			t.Fatalf("meta differs: %+v vs %+v", c.Meta, tr.Meta)
+		want := c.Materialize()
+		if cCopy.Meta != c.Meta || !commTablesEqual(&cCopy.Comms, &c.Comms) {
+			t.Fatal("meta or comm tables differ between decode modes")
 		}
-		if !commTablesEqual(&c.Comms, &tr.Comms) {
-			t.Fatal("comm tables differ between decoders")
-		}
-		requireSameEvents(t, tr, c)
+		requireSameEvents(t, want, cCopy)
 
-		var b1, b2 bytes.Buffer
-		if err := Write(&b1, tr); err != nil {
-			t.Fatalf("re-encode v1: %v", err)
+		var buf bytes.Buffer
+		if err := WriteColumnsV3(&buf, c); err != nil {
+			t.Fatalf("re-encode: %v", err)
 		}
-		tr2, err := Read(&b1)
+		c2, err := ReadColumns(&buf)
 		if err != nil {
-			t.Fatalf("re-decode v1: %v", err)
-		}
-		if tr2.Meta != tr.Meta || !commTablesEqual(&tr2.Comms, &tr.Comms) {
-			t.Fatal("v1 roundtrip changed meta or comms")
-		}
-		requireSameEvents(t, tr, tr2)
-
-		if err := WriteColumns(&b2, c); err != nil {
-			t.Fatalf("re-encode v2: %v", err)
-		}
-		c2, err := ReadColumns(&b2)
-		if err != nil {
-			t.Fatalf("re-decode v2: %v", err)
+			t.Fatalf("re-decode: %v", err)
 		}
 		if c2.Meta != c.Meta || !commTablesEqual(&c2.Comms, &c.Comms) {
-			t.Fatal("v2 roundtrip changed meta or comms")
+			t.Fatal("round trip changed meta or comms")
 		}
-		requireSameEvents(t, tr, c2)
-
-		// The zero-copy format must be just as lossless, and its two
-		// decode modes (aliasing and copying) must accept and produce
-		// the same thing.
-		var b3 bytes.Buffer
-		if err := WriteColumnsV3(&b3, c); err != nil {
-			t.Fatalf("re-encode v3: %v", err)
-		}
-		c3, err := ReadColumns(bytes.NewReader(b3.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode v3: %v", err)
-		}
-		if c3.Meta != c.Meta || !commTablesEqual(&c3.Comms, &c.Comms) {
-			t.Fatal("v3 roundtrip changed meta or comms")
-		}
-		requireSameEvents(t, tr, c3)
-		cCopy, err := parseV3(b3.Bytes(), false)
-		if err != nil {
-			t.Fatalf("v3 copy-mode decode rejected what alias mode accepted: %v", err)
-		}
-		requireSameEvents(t, tr, cCopy)
+		requireSameEvents(t, want, c2)
 	})
 }
 
@@ -247,24 +183,6 @@ func TestWriteFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-func FuzzReadJSON(f *testing.F) {
-	tr := randomTrace(rand.New(rand.NewSource(9)))
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, tr); err == nil {
-		f.Add(buf.String())
-	}
-	f.Add(`{"meta":{"NumRanks":1},"comms":[[0]],"ranks":[[]]}`)
-	f.Add(`{}`)
-	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadJSON(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		_ = tr.NumEvents()
-		_ = tr.Validate()
-	})
 }
 
 func FuzzReadDUMPIASCII(f *testing.F) {

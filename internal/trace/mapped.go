@@ -1,40 +1,35 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 )
 
 // Mapped is a trace opened by OpenMapped: a *Columns plus the backing
-// it aliases. For a version-3 file on a zero-copy-capable platform
-// (little-endian, working mmap) the columns point straight into the
-// private file mapping — opening allocates nothing proportional to the
-// trace, and the resident cost is shared, evictable page cache. On any
-// other platform or file version, Columns is an ordinary heap decode
-// and Mapped merely remembers that the fast path was unavailable.
+// it aliases. On a zero-copy-capable platform (little-endian, working
+// mmap) the columns point straight into the private file mapping —
+// opening allocates nothing proportional to the trace, and the
+// resident cost is shared, evictable page cache. On any other platform
+// Columns is an ordinary heap decode of the same file image and
+// Mapped merely remembers that the fast path was unavailable.
 //
 // Close releases the mapping; the Columns must not be used afterwards
 // when ZeroCopy reports true.
 type Mapped struct {
 	*Columns
-	// Version is the codec version of the file that was opened (1, 2,
-	// or 3).
-	Version int
 
 	data   []byte
-	mapped bool // data is an mmap region (vs a heap buffer or nil)
+	mapped bool // data is an mmap region (vs a heap buffer)
 	zero   bool // columns alias data (no decode happened)
 }
 
 // ZeroCopy reports whether the columns alias the file mapping directly
-// (true only for v3 files on a little-endian host with mmap).
+// (true only on a little-endian host with mmap).
 func (m *Mapped) ZeroCopy() bool { return m.zero }
 
-// Image returns the raw file image backing the trace (the mmap region
-// or the heap buffer it was decoded from), or nil when the trace came
-// through the v1/v2 streaming fallback and no image is retained. The
+// Image returns the raw file image backing the trace: the mmap region,
+// or the heap buffer it was decoded from when mmap is unavailable. The
 // bytes are read-only as far as the caller is concerned: writing to a
 // MAP_PRIVATE region would silently diverge from the file. It exists so
 // integrity layers (the trace cache) can checksum exactly the bytes
@@ -50,7 +45,7 @@ func (m *Mapped) MappedBytes() int64 {
 	return int64(len(m.data))
 }
 
-// Close unmaps the file image. It is safe to call on a fallback-decoded
+// Close unmaps the file image. It is safe to call on a heap-decoded
 // Mapped (a no-op beyond dropping the buffer) and safe to call twice.
 func (m *Mapped) Close() error {
 	data, mapped := m.data, m.mapped
@@ -61,71 +56,26 @@ func (m *Mapped) Close() error {
 	return nil
 }
 
-// VersionV3 is the zero-copy codec version number, exported so cache
-// layers can record which codec an entry was written with and
-// invalidate entries when the format advances.
+// VersionV3 is the codec version number, exported so cache layers can
+// record which codec an entry was written with and invalidate entries
+// when the format advances.
 const VersionV3 = binaryVersionV3
 
-// SniffVersion reads just enough of a binary trace stream to report its
-// codec version, without decoding anything else.
-func SniffVersion(r io.Reader) (int, error) {
-	var hdr [len(binaryMagic) + binary.MaxVarintLen64]byte
-	n, err := io.ReadAtLeast(r, hdr[:], len(binaryMagic)+1)
-	if err != nil {
-		return 0, fmt.Errorf("%w: missing magic: %v", ErrBadFormat, err)
-	}
-	if string(hdr[:len(binaryMagic)]) != binaryMagic {
-		return 0, fmt.Errorf("%w: magic %q", ErrBadFormat, hdr[:len(binaryMagic)])
-	}
-	v, w := binary.Uvarint(hdr[len(binaryMagic):n])
-	if w <= 0 {
-		return 0, fmt.Errorf("%w: truncated version", ErrBadFormat)
-	}
-	return int(v), nil
-}
-
-// FileVersion reports the codec version of the trace file at path.
-func FileVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return SniffVersion(f)
-}
-
 // OpenMapped opens the trace file at path for reading with the cheapest
-// access path the file and platform allow:
+// access path the platform allows:
 //
-//   - a version-3 file on a little-endian host with mmap maps in
-//     privately and the columns alias the mapping — zero decode, zero
-//     copy, resident cost shared with the page cache;
-//   - a version-3 file elsewhere (big-endian host, no mmap, unaligned
-//     buffer) is read and copy-decoded through the same validating
-//     parser, so acceptance is identical;
-//   - a version-1 or version-2 file falls back to ReadColumns.
+//   - on a little-endian host with mmap the file maps in privately and
+//     the columns alias the mapping — zero decode, zero copy, resident
+//     cost shared with the page cache;
+//   - elsewhere (big-endian host, no mmap, unaligned buffer) the file is
+//     read and copy-decoded through the same validating parser, so
+//     acceptance is identical.
 //
-// The returned Mapped's Columns implements Source like any other trace;
+// A file of an older codec version is rejected with ErrBadFormat. The
+// returned Mapped's Columns implements Source like any other trace;
 // SetEventTimes on a zero-copy trace writes copy-on-write pages that
 // never reach the file. Callers must Close it when done.
 func OpenMapped(path string) (*Mapped, error) {
-	version, err := FileVersion(path)
-	if err != nil {
-		return nil, err
-	}
-	if version != binaryVersionV3 {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		c, err := ReadColumns(f)
-		if err != nil {
-			return nil, err
-		}
-		return &Mapped{Columns: c, Version: version}, nil
-	}
-
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -135,12 +85,8 @@ func OpenMapped(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := st.Size()
-	if size < v3HeaderSize {
-		return nil, fmt.Errorf("%w: v3 file %s truncated at %d bytes", ErrBadFormat, path, size)
-	}
 
-	if mmapSupported && v3LittleEndian {
+	if size := st.Size(); mmapSupported && v3LittleEndian && size > 0 {
 		data, err := mmapFile(f, size)
 		if err == nil {
 			c, perr := parseV3(data, v3Aliasable(data))
@@ -148,13 +94,13 @@ func OpenMapped(path string) (*Mapped, error) {
 				munmapFile(data)
 				return nil, fmt.Errorf("trace: %s: %w", path, perr)
 			}
-			return &Mapped{Columns: c, Version: version, data: data, mapped: true, zero: true}, nil
+			return &Mapped{Columns: c, data: data, mapped: true, zero: true}, nil
 		}
 		// fall through: an mmap failure (exotic filesystem, resource
 		// limits) degrades to the read path, never to an error.
 	}
 
-	data, err := os.ReadFile(path)
+	data, err := io.ReadAll(f)
 	if err != nil {
 		return nil, err
 	}
@@ -163,5 +109,5 @@ func OpenMapped(path string) (*Mapped, error) {
 	if perr != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, perr)
 	}
-	return &Mapped{Columns: c, Version: version, data: data, zero: alias}, nil
+	return &Mapped{Columns: c, data: data, zero: alias}, nil
 }

@@ -1,7 +1,8 @@
 // Package trace defines the DUMPI-like MPI communication trace model
 // that every tool in this repository consumes: per-rank event streams
 // with entry/exit timestamps and communication metadata, communicator
-// tables, binary and JSON codecs, validation, and aggregate statistics.
+// tables, the zero-copy binary codec, validation, and aggregate
+// statistics.
 //
 // A trace records what an MPI application did on a real (here:
 // synthesized ground-truth) machine. Replay tools honor the recorded

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -230,7 +232,11 @@ func randomTrace(rng *rand.Rand) *Trace {
 	return tr
 }
 
+// TestBinaryRoundTripProperty writes random traces to files and opens
+// them through OpenMapped, the path the trace cache and the commands
+// take: the mapped columns must equal the source events and validate.
 func TestBinaryRoundTripProperty(t *testing.T) {
+	dir := t.TempDir()
 	cfg := &quick.Config{MaxCount: 40}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -239,16 +245,23 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			t.Fatalf("generator produced invalid trace: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			t.Fatalf("Write: %v", err)
+		if err := WriteColumnsV3(&buf, FromTrace(tr)); err != nil {
+			t.Fatalf("WriteColumnsV3: %v", err)
 		}
-		got, err := Read(&buf)
+		path := filepath.Join(dir, "t.htrc")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenMapped(path)
 		if err != nil {
-			t.Fatalf("Read: %v", err)
+			t.Fatalf("OpenMapped: %v", err)
 		}
-		return reflect.DeepEqual(tr.Meta, got.Meta) &&
-			reflect.DeepEqual(tr.Ranks, got.Ranks) &&
-			commTablesEqual(&tr.Comms, &got.Comms)
+		defer m.Close()
+		requireSameEvents(t, tr, m.Columns)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("Validate after open: %v", err)
+		}
+		return reflect.DeepEqual(tr.Meta, m.Meta) && commTablesEqual(&tr.Comms, &m.Comms)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
@@ -273,12 +286,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 		[]byte("nope"),
 		[]byte("HTRC"),             // truncated after magic
 		[]byte("HTRC\x63"),         // wrong version
-		[]byte("HTRC\x01\x03ab"),   // truncated string
-		[]byte("HTRC\x01\x00\x00"), // truncated meta
-		append([]byte("HTRC\x01\x00\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), // absurd rank count
+		[]byte("HTRC\x01\x03ab"),   // retired version 1
+		[]byte("HTRC\x03\x00\x00"), // truncated header
+		append([]byte("HTRC\x03\x00\x00\x00"), make([]byte, 60)...), // zero header size
 	} {
-		if _, err := Read(bytes.NewReader(in)); err == nil {
-			t.Errorf("Read(%q) = nil error, want failure", in)
+		if _, err := ReadColumns(bytes.NewReader(in)); err == nil {
+			t.Errorf("ReadColumns(%q) = nil error, want failure", in)
 		}
 	}
 }

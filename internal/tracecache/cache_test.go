@@ -1,6 +1,7 @@
 package tracecache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -136,16 +137,26 @@ func TestMaterializeErrorPropagates(t *testing.T) {
 }
 
 // TestCorruptTraceEvicted flips one byte of a published trace file at
-// every offset class (header, column data, tail) and asserts detection,
-// eviction, regeneration, and a warning — never a wrong result.
+// every offset class (header, column data, tail), and rewrites the
+// version byte to each retired codec version, and asserts detection,
+// eviction, regeneration of an identical trace, and a warning — never a
+// wrong result.
 func TestCorruptTraceEvicted(t *testing.T) {
+	flip := func(at func(n int) int) func([]byte) {
+		return func(img []byte) { img[at(len(img))] ^= 0x40 }
+	}
+	setVersion := func(v byte) func([]byte) {
+		return func(img []byte) { img[4] = v }
+	}
 	for _, tc := range []struct {
-		name string
-		at   func(n int) int
+		name   string
+		damage func(img []byte)
 	}{
-		{"header", func(int) int { return 3 }},
-		{"middle", func(n int) int { return n / 2 }},
-		{"tail", func(n int) int { return n - 1 }},
+		{"header", flip(func(int) int { return 3 })},
+		{"middle", flip(func(n int) int { return n / 2 })},
+		{"tail", flip(func(n int) int { return n - 1 })},
+		{"version-byte-1", setVersion(1)},
+		{"version-byte-2", setVersion(2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var warns atomic.Int64
@@ -155,7 +166,7 @@ func TestCorruptTraceEvicted(t *testing.T) {
 			}})
 			p := testParams(4)
 			fresh, release, _ := acquire(t, c, p)
-			want := trace.SourceMeasuredTotal(fresh)
+			want := encode(t, fresh)
 			release()
 
 			tp, _ := c.EntryPaths(Hash(p))
@@ -163,7 +174,7 @@ func TestCorruptTraceEvicted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			img[tc.at(len(img))] ^= 0x40
+			tc.damage(img)
 			if err := os.WriteFile(tp, img, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -173,8 +184,8 @@ func TestCorruptTraceEvicted(t *testing.T) {
 			if hit {
 				t.Fatal("corrupt entry served as a hit")
 			}
-			if got := trace.SourceMeasuredTotal(cols); got != want {
-				t.Errorf("regenerated trace measured %v, want %v", got, want)
+			if !bytes.Equal(encode(t, cols), want) {
+				t.Error("regenerated trace differs from the original")
 			}
 			if st := c.Stats(); st.Corrupt != 1 {
 				t.Errorf("corrupt count = %d, want 1", st.Corrupt)
@@ -190,6 +201,17 @@ func TestCorruptTraceEvicted(t *testing.T) {
 			}
 		})
 	}
+}
+
+// encode returns c's v3 encoding, a byte-exact identity for comparing
+// traces across a release.
+func encode(t *testing.T, c *trace.Columns) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteColumnsV3(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestCorruptSidecarEvicted(t *testing.T) {

@@ -158,7 +158,7 @@ func ReadSpec(r io.Reader) (*Spec, error) {
 // FromSpec generates the structural trace for a custom spec. The
 // Params' App field is ignored (the spec's name is used); Class scales
 // nothing — spec values are taken literally.
-func FromSpec(s *Spec, p Params) (*trace.Trace, error) {
+func FromSpec(s *Spec, p Params) (*trace.Columns, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -232,10 +232,10 @@ func FromSpec(s *Spec, p Params) (*trace.Trace, error) {
 			}
 		}
 	}
-	return g.b.Build()
+	return g.b.BuildColumns()
 }
 
-// newGenRNG mirrors Generate's seeding for custom specs.
+// newGenRNG mirrors GenerateColumns's seeding for custom specs.
 func newGenRNG(p Params, name string) *rand.Rand {
 	return rand.New(rand.NewSource(p.Seed ^ int64(p.Ranks)*0x9e37 ^ hashName(name)))
 }

@@ -28,10 +28,11 @@ func TestReadSpecAndGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := FromSpec(spec, Params{Ranks: 27, Machine: "edison", Seed: 5})
+	cols, err := FromSpec(spec, Params{Ranks: 27, Machine: "edison", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := cols.Materialize()
 	if tr.Meta.App != "mykernel" {
 		t.Errorf("app = %q", tr.Meta.App)
 	}
@@ -79,11 +80,11 @@ func TestSpecEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ground truth + model + simulation must all work on spec traces.
-	if _, err := mpisim.Replay(tr, simnet.PacketFlow, mach, simnet.Config{},
+	if _, err := mpisim.ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{},
 		mpisim.Options{Record: true, Perturb: mpisim.DefaultNoise(p.Seed, p.Ranks)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := mfact.Model(tr, mach, nil)
+	res, err := mfact.ModelSource(tr, mach, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +95,11 @@ func TestSpecEndToEnd(t *testing.T) {
 
 func TestSpecHypercubeStencil(t *testing.T) {
 	spec := &Spec{Name: "hc", Phases: []Phase{{Halo: &HaloPhase{Neighbors: "hypercube", Bytes: 1024}}}}
-	tr, err := FromSpec(spec, Params{Ranks: 16, Machine: "edison", Seed: 1})
+	cols, err := FromSpec(spec, Params{Ranks: 16, Machine: "edison", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := cols.Materialize()
 	peers := map[int32]bool{}
 	for _, e := range tr.Ranks[0] {
 		if e.Op == trace.OpIsend {

@@ -44,7 +44,7 @@ type propMsg struct {
 // The temporal check only applies to materialized traces. A freshly
 // generated program trace carries intended compute durations with
 // zero-duration communication placeholders, so its per-rank clocks
-// drift independently; only the ground-truth execution (Materialize)
+// drift independently; only the ground-truth execution (MaterializeColumns)
 // stamps times in which cross-rank causality is meaningful.
 func checkCausalOrder(t *testing.T, tr *trace.Trace, temporal bool) {
 	t.Helper()
@@ -159,7 +159,7 @@ func TestGeneratorsProduceWellFormedPrograms(t *testing.T) {
 			p := p
 			p.Seed += ds
 			t.Run(fmt.Sprintf("%s.%s+%d", p.App, p.Class, ds), func(t *testing.T) {
-				tr, err := Generate(p)
+				tr, err := generate(p)
 				if err != nil {
 					t.Fatalf("generate: %v", err)
 				}
@@ -194,7 +194,7 @@ func TestMaterializedTracesAreCausal(t *testing.T) {
 			if testing.Short() && p.Ranks > 64 {
 				t.Skip("short mode")
 			}
-			tr, err := Materialize(p)
+			tr, err := materialize(p)
 			if err != nil {
 				t.Fatalf("materialize: %v", err)
 			}

@@ -17,12 +17,41 @@ func streamParams() []Params {
 	}
 }
 
+// generate is GenerateColumns materialized into the array-of-structs
+// form that structural assertions index directly.
+func generate(p Params) (*trace.Trace, error) {
+	c, err := GenerateColumns(p)
+	if err != nil {
+		return nil, err
+	}
+	return c.Materialize(), nil
+}
+
+// materialize is MaterializeColumns in array-of-structs form.
+func materialize(p Params) (*trace.Trace, error) {
+	c, err := MaterializeColumns(p)
+	if err != nil {
+		return nil, err
+	}
+	return c.Materialize(), nil
+}
+
+// TestGenerateColumnsMatchesGenerate holds GenerateColumns to the
+// reference: the same generator run through Builder.Build, which
+// stores array-of-structs rows instead of columns.
 func TestGenerateColumnsMatchesGenerate(t *testing.T) {
 	for _, p := range streamParams() {
 		t.Run(p.App, func(t *testing.T) {
-			tr, err := Generate(p)
+			b, g, err := generateWindow(p, 0, -1)
 			if err != nil {
-				t.Fatalf("Generate: %v", err)
+				t.Fatalf("generateWindow: %v", err)
+			}
+			tr, err := b.Build()
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			if g.usesCommSplit {
+				tr.Meta.UsesCommSplit = true
 			}
 			cols, err := GenerateColumns(p)
 			if err != nil {
@@ -39,9 +68,9 @@ func TestGenerateColumnsMatchesGenerate(t *testing.T) {
 func TestStreamMatchesGenerate(t *testing.T) {
 	for _, p := range streamParams() {
 		for _, chunk := range []int{1, 3, p.Ranks} {
-			tr, err := Generate(p)
+			tr, err := generate(p)
 			if err != nil {
-				t.Fatalf("%s: Generate: %v", p.App, err)
+				t.Fatalf("%s: generate: %v", p.App, err)
 			}
 			seen := make([]bool, p.Ranks)
 			err = p.Stream(chunk, func(rank int, cur trace.Cursor) error {

@@ -11,7 +11,7 @@ import (
 
 func genTrace(t *testing.T, app string, ranks int) *trace.Trace {
 	t.Helper()
-	tr, err := Generate(Params{App: app, Class: "A", Ranks: ranks, Machine: "edison", Seed: 5})
+	tr, err := generate(Params{App: app, Class: "A", Ranks: ranks, Machine: "edison", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@
 // compute/communication balance. A generated trace is a *program*
 // (compute durations plus communication structure); the ground-truth
 // executor stamps "measured" timestamps by running it through the
-// detailed contention simulator with system noise (see Materialize).
+// detailed contention simulator with system noise (see MaterializeColumns).
 package workload
 
 import (
@@ -160,28 +160,9 @@ type gen struct {
 	scale float64
 }
 
-// Generate builds the structural trace (program) for p. Timestamps
-// carry only the intended compute durations; see Materialize for
-// stamping measured times.
-func Generate(p Params) (*trace.Trace, error) {
-	b, g, err := generateWindow(p, 0, -1)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", p.App, err)
-	}
-	if g.usesCommSplit && !tr.Meta.UsesCommSplit {
-		// The generator is expected to have split communicators; keep
-		// the capability flag truthful either way.
-		tr.Meta.UsesCommSplit = true
-	}
-	return tr, nil
-}
-
-// GenerateColumns is Generate building the columnar representation
-// directly: no []Event rows are ever materialized.
+// GenerateColumns builds the structural trace (program) for p in
+// columnar form. Timestamps carry only the intended compute durations;
+// see MaterializeColumns for stamping measured times.
 func GenerateColumns(p Params) (*trace.Columns, error) {
 	b, g, err := generateWindow(p, 0, -1)
 	if err != nil {
@@ -202,7 +183,7 @@ func GenerateColumns(p Params) (*trace.Columns, error) {
 // window's events are resident at a time, so a wide trace streams in
 // a fraction of its full footprint; the trade is regeneration (the
 // generator reruns once per window with identical RNG consumption, so
-// the streamed events are bit-identical to a Generate build —
+// the streamed events are bit-identical to a GenerateColumns build —
 // TestStreamMatchesGenerate holds the two paths together). Windowed
 // builds cannot run cross-rank validation; stream consumers that need
 // a validated trace should validate a full build once elsewhere.

@@ -13,7 +13,7 @@ func TestGenerateAllAppsValidate(t *testing.T) {
 	for _, app := range Apps() {
 		for _, ranks := range []int{8, 27, 64} {
 			p := Params{App: app, Class: "S", Ranks: ranks, Machine: "edison", Seed: 1}
-			tr, err := Generate(p)
+			tr, err := generate(p)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", app, ranks, err)
 			}
@@ -29,11 +29,11 @@ func TestGenerateAllAppsValidate(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	p := Params{App: "CrystalRouter", Class: "A", Ranks: 16, Machine: "hopper", Seed: 99}
-	a, err := Generate(p)
+	a, err := generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(p)
+	b, err := generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,33 +51,33 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	if _, err := Generate(Params{App: "HPL", Class: "B", Ranks: 8}); err == nil {
+	if _, err := generate(Params{App: "HPL", Class: "B", Ranks: 8}); err == nil {
 		t.Error("unknown app accepted")
 	}
-	if _, err := Generate(Params{App: "CG", Class: "Z", Ranks: 8}); err == nil {
+	if _, err := generate(Params{App: "CG", Class: "Z", Ranks: 8}); err == nil {
 		t.Error("unknown class accepted")
 	}
-	if _, err := Generate(Params{App: "CG", Class: "B", Ranks: 1}); err == nil {
+	if _, err := generate(Params{App: "CG", Class: "B", Ranks: 1}); err == nil {
 		t.Error("1 rank accepted")
 	}
 }
 
 func TestCapabilityFlags(t *testing.T) {
-	bf, err := Generate(Params{App: "BigFFT", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
+	bf, err := generate(Params{App: "BigFFT", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bf.Meta.UsesCommSplit {
 		t.Error("BigFFT should use comm split")
 	}
-	fb, err := Generate(Params{App: "FillBoundary", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
+	fb, err := generate(Params{App: "FillBoundary", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fb.Meta.UsesThreadMultiple {
 		t.Error("FillBoundary should use thread multiple")
 	}
-	ep, err := Generate(Params{App: "EP", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
+	ep, err := generate(Params{App: "EP", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCapabilityFlags(t *testing.T) {
 
 func TestMaterializeStampsMeasuredTimes(t *testing.T) {
 	p := Params{App: "MiniFE", Class: "S", Ranks: 16, Machine: "cielito", Seed: 5}
-	tr, err := Materialize(p)
+	tr, err := materialize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestEndToEndClassBehaviours(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := Params{App: c.app, Class: "A", Ranks: 64, Machine: "edison", Seed: 3}
-		tr, err := Materialize(p)
+		tr, err := materialize(p)
 		if err != nil {
 			t.Fatalf("%s: %v", c.app, err)
 		}
@@ -202,7 +202,7 @@ func TestEndToEndClassBehaviours(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mfact.Model(tr, mach, nil)
+		res, err := mfact.ModelSource(tr, mach, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.app, err)
 		}
@@ -219,7 +219,7 @@ func TestEndToEndClassBehaviours(t *testing.T) {
 // (the paper's central DIFF ≤ 2% population).
 func TestModelVsSimulationAgreement(t *testing.T) {
 	p := Params{App: "EP", Class: "S", Ranks: 32, Machine: "hopper", Seed: 9}
-	tr, err := Materialize(p)
+	tr, err := materialize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestModelVsSimulationAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := mfact.Model(tr, mach, nil)
+	model, err := mfact.ModelSource(tr, mach, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := mpisim.Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
+	sim, err := mpisim.ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestModelVsSimulationAgreement(t *testing.T) {
 // fat-tree cluster, exercising the third topology class.
 func TestFatTreeMachineEndToEnd(t *testing.T) {
 	p := Params{App: "CG", Class: "A", Ranks: 64, Machine: "fattree", Seed: 12}
-	tr, err := Materialize(p)
+	tr, err := materialize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,11 @@ func TestFatTreeMachineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := mfact.Model(tr, mach, nil)
+	model, err := mfact.ModelSource(tr, mach, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := mpisim.Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
+	sim, err := mpisim.ReplaySource(tr, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
