@@ -105,6 +105,7 @@ func scenarios() []scenario {
 		{"simnet/flow-small", mkTraffic(simnet.Flow, 512, 1<<10)},
 		{"simnet/parallel-packet-lps4", benchParallelPacket},
 		{"mpisim/replay-packet", mkReplay(simnet.Packet)},
+		{"mpisim/replay-flow", mkReplay(simnet.Flow)},
 		{"mpisim/replay-packetflow", mkReplay(simnet.PacketFlow)},
 		{"trace/codec-roundtrip", benchCodecRoundtrip},
 		{"trace/codec-open-v3", benchCodecOpenV3},

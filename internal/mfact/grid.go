@@ -39,6 +39,11 @@ func GridSweep(src trace.Source, mach *machine.Config, bwScales, latScales []flo
 			cfgs = append(cfgs, NetConfig{BWScale: bw, LatScale: lat, CompScale: 1})
 		}
 	}
+	// The classifier's β/8 and 8α probes follow the grid cells, so Class
+	// matches ModelSource's whatever the axes hold.
+	cfgs = append(cfgs,
+		NetConfig{BWScale: 1 / sensitivityScale, LatScale: 1, CompScale: 1},
+		NetConfig{BWScale: 1, LatScale: sensitivityScale, CompScale: 1})
 	res, err := ModelSource(src, mach, cfgs)
 	if err != nil {
 		return nil, err

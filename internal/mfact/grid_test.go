@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/simtime"
 	"hpctradeoff/internal/trace"
+	"hpctradeoff/internal/workload"
 )
 
 func TestGridSweep(t *testing.T) {
@@ -60,5 +62,53 @@ func TestGridSweepCustomAxes(t *testing.T) {
 	// Compute-only: identical everywhere.
 	if g.Totals[0][0] != g.Totals[1][0] {
 		t.Error("compute-only workload should be network-invariant")
+	}
+}
+
+// TestGridSweepClassMatchesModel: the grid's class comes from the same
+// β/8 and 8α probes ModelSource's standard sweep classifies with, on
+// the default axes (which hold neither probe) and on axes without any
+// sensitivity point.
+func TestGridSweepClassMatchesModel(t *testing.T) {
+	// Tiny blocking ping-pongs: latency-bound, which only the 8α probe
+	// can tell.
+	b := trace.NewBuilder(trace.Meta{App: "pingpong", NumRanks: 8})
+	for i := 0; i < 400; i++ {
+		b.Send(0, 7, 0, 8, trace.CommWorld)
+		b.Recv(7, 0, 0, 8, trace.CommWorld)
+		b.Send(7, 0, 1, 8, trace.CommWorld)
+		b.Recv(0, 7, 1, 8, trace.CommWorld)
+	}
+	pingpong := build(t, b)
+	cg, err := workload.MaterializeColumns(workload.Params{App: "CG", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cgMach, err := machine.Edison(16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		src  trace.Source
+		mach *machine.Config
+	}{
+		{"pingpong", pingpong, testMach(t, 8)},
+		{"CG.S.16", cg, cgMach},
+	}
+	for _, c := range cases {
+		want, err := ModelSource(c.src, c.mach, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, axes := range [][2][]float64{{nil, nil}, {{1, 2}, {1}}} {
+			g, err := GridSweep(c.src, c.mach, axes[0], axes[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Class != want.Class {
+				t.Errorf("%s, axes %v×%v: grid class %v, ModelSource class %v", c.name, axes[0], axes[1], g.Class, want.Class)
+			}
+		}
 	}
 }

@@ -93,6 +93,38 @@ func BenchmarkFlowChurn(b *testing.B) {
 	b.StopTimer()
 }
 
+// BenchmarkFlowSharedRoutes is an all-to-all of 64 KiB messages among
+// 64 ranks on 4 nodes, posted as 63 pairwise-exchange rounds 5 µs
+// apart: rounds overlap, so each recompute fills hundreds of flows that
+// share 12 node-pair routes, the shape of a collective on fat nodes.
+func BenchmarkFlowSharedRoutes(b *testing.B) {
+	mach, err := machine.Edison(64, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var eng des.Engine
+		net, err := New(Flow, &eng, mach, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered := 0
+		done := func() { delivered++ }
+		for round := int32(1); round < 64; round++ {
+			eng.At(simtime.Time(round)*5*simtime.Microsecond, func() {
+				for src := int32(0); src < 64; src++ {
+					net.Send(src, (src+round)%64, 64<<10, done)
+				}
+			})
+		}
+		eng.Run()
+		if delivered != 64*63 {
+			b.Fatalf("delivered %d of %d", delivered, 64*63)
+		}
+	}
+}
+
 // BenchmarkParallelPacketLPs scales the CMB-parallel packet network
 // over LP counts (uniform random-permutation traffic). On multicore
 // hosts this shows PDES speedup; the null-message overhead is visible

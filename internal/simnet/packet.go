@@ -33,6 +33,7 @@ type packetNet struct {
 	lastDrain []simtime.Time // packet-flow: last backlog update
 
 	routes routeCache
+	bw     []float64 // per-link bandwidth, indexed by topology.LinkID
 	stats  Stats
 
 	// free is the packet free-list. A packet object (with its bound hop
@@ -51,6 +52,7 @@ func newPacketNet(eng *des.Engine, mach *machine.Config, cfg Config, multiplex b
 		cfg:       cfg,
 		multiplex: multiplex,
 		routes:    newRouteCache(mach),
+		bw:        linkBandwidths(mach),
 	}
 	if multiplex {
 		p.backlog = make([]float64, n)
@@ -81,7 +83,7 @@ func (p *packetNet) Send(src, dst int32, bytes int64, onDelivered func()) {
 		p.eng.After(loopback(bytes, p.cfg, p.mach), onDelivered)
 		return
 	}
-	path := p.routes.get(int(srcNode), int(dstNode))
+	_, path := p.routes.get(int(srcNode), int(dstNode))
 	nPackets := int((bytes + p.cfg.PacketBytes - 1) / p.cfg.PacketBytes)
 	if nPackets == 0 {
 		nPackets = 1 // zero-byte message still sends a header packet
@@ -155,7 +157,7 @@ func (pk *packet) hop() {
 	link := pk.path[pk.hopIdx]
 	pk.hopIdx++
 	now := n.eng.Now()
-	bw := n.linkBandwidth(link)
+	bw := n.bw[link]
 	var departure simtime.Time
 	if n.multiplex {
 		// Drain the fluid backlog, add ourselves, sample the delay.
@@ -177,36 +179,46 @@ func (pk *packet) hop() {
 	n.eng.At(departure+n.mach.LinkLatency, pk.hopFn)
 }
 
-func (p *packetNet) linkBandwidth(id topology.LinkID) float64 {
-	var bw float64
-	switch p.mach.Topo.Link(id).Kind {
-	case topology.Injection, topology.Ejection:
-		bw = p.mach.InjectionBandwidth
-	default:
-		bw = p.mach.LinkBandwidth
-	}
-	if p.mach.LinkBWScale != nil {
-		bw *= p.mach.LinkBWScale[id]
+// linkBandwidths returns every link's bandwidth indexed by
+// topology.LinkID: the NIC rate on injection and ejection links, the
+// fabric rate elsewhere, each times its LinkBWScale entry when set.
+func linkBandwidths(mach *machine.Config) []float64 {
+	bw := make([]float64, mach.Topo.NumLinks())
+	for id := range bw {
+		switch mach.Topo.Link(topology.LinkID(id)).Kind {
+		case topology.Injection, topology.Ejection:
+			bw[id] = mach.InjectionBandwidth
+		default:
+			bw[id] = mach.LinkBandwidth
+		}
+		if mach.LinkBWScale != nil {
+			bw[id] *= mach.LinkBWScale[id]
+		}
 	}
 	return bw
 }
 
-// routeCache memoizes node-pair routes.
+// routeCache memoizes node-pair routes and numbers them densely in
+// first-use order, so a route id can index per-route scratch state.
 type routeCache struct {
 	mach  *machine.Config
-	cache map[int64][]topology.LinkID
+	ids   map[int64]int32
+	paths [][]topology.LinkID // indexed by route id
 }
 
 func newRouteCache(mach *machine.Config) routeCache {
-	return routeCache{mach: mach, cache: make(map[int64][]topology.LinkID)}
+	return routeCache{mach: mach, ids: make(map[int64]int32)}
 }
 
-func (rc *routeCache) get(srcNode, dstNode int) []topology.LinkID {
+// get returns the route id and link path from srcNode to dstNode.
+func (rc *routeCache) get(srcNode, dstNode int) (int32, []topology.LinkID) {
 	key := int64(srcNode)<<32 | int64(uint32(dstNode))
-	if path, ok := rc.cache[key]; ok {
-		return path
+	if id, ok := rc.ids[key]; ok {
+		return id, rc.paths[id]
 	}
+	id := int32(len(rc.paths))
 	path := rc.mach.Topo.Route(nil, srcNode, dstNode)
-	rc.cache[key] = path
-	return path
+	rc.ids[key] = id
+	rc.paths = append(rc.paths, path)
+	return id, path
 }
